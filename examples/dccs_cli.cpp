@@ -67,17 +67,44 @@
 
 namespace {
 
-mlcore::DccsAlgorithm ParseAlgorithm(const std::string& name) {
+// Unknown names are rejected, never mapped to a default.
+std::optional<mlcore::DccsAlgorithm> ParseAlgorithm(const std::string& name) {
+  if (name == "auto") return mlcore::DccsAlgorithm::kAuto;  // engine resolves
   if (name == "greedy") return mlcore::DccsAlgorithm::kGreedy;
   if (name == "bu") return mlcore::DccsAlgorithm::kBottomUp;
   if (name == "td") return mlcore::DccsAlgorithm::kTopDown;
-  return mlcore::DccsAlgorithm::kAuto;  // resolved by the engine
+  return std::nullopt;
+}
+
+std::optional<mlcore::DccEngine> ParseEngine(const std::string& name) {
+  if (name == "queue") return mlcore::DccEngine::kQueue;
+  if (name == "bins") return mlcore::DccEngine::kBins;
+  return std::nullopt;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+
+  const std::string algorithm_name = flags.GetString("algorithm", "auto");
+  const std::optional<mlcore::DccsAlgorithm> algorithm =
+      ParseAlgorithm(algorithm_name);
+  if (!algorithm.has_value()) {
+    std::fprintf(stderr,
+                 "error: unknown --algorithm=%s (accepted: auto, greedy, bu, "
+                 "td)\n",
+                 algorithm_name.c_str());
+    return 1;
+  }
+  const std::string engine_name = flags.GetString("engine", "queue");
+  const std::optional<mlcore::DccEngine> dcc_engine = ParseEngine(engine_name);
+  if (!dcc_engine.has_value()) {
+    std::fprintf(stderr,
+                 "error: unknown --engine=%s (accepted: queue, bins)\n",
+                 engine_name.c_str());
+    return 1;
+  }
 
   const std::string binary_path = flags.GetString("graph_bin", "");
   std::string path = flags.GetString("graph", "");
@@ -121,10 +148,8 @@ int main(int argc, char** argv) {
   request.params.d = static_cast<int>(flags.GetInt("d", 4));
   request.params.s = static_cast<int>(flags.GetInt("s", 3));
   request.params.k = static_cast<int>(flags.GetInt("k", 10));
-  request.params.dcc_engine = flags.GetString("engine", "queue") == "bins"
-                                  ? mlcore::DccEngine::kBins
-                                  : mlcore::DccEngine::kQueue;
-  request.algorithm = ParseAlgorithm(flags.GetString("algorithm", "auto"));
+  request.params.dcc_engine = *dcc_engine;
+  request.algorithm = *algorithm;
   if (request.params.s > graph.NumLayers()) {
     std::fprintf(stderr, "error: s=%d exceeds the graph's %d layers\n",
                  request.params.s, graph.NumLayers());

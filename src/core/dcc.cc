@@ -8,9 +8,8 @@ namespace mlcore {
 
 DccSolver::DccSolver(const MultiLayerGraph& graph)
     : graph_(graph),
-      scope_epoch_(static_cast<size_t>(graph.NumVertices()), 0),
-      removed_epoch_(static_cast<size_t>(graph.NumVertices()), 0),
-      dense_(static_cast<size_t>(graph.NumVertices()), -1) {}
+      live_(static_cast<size_t>(graph.NumVertices())),
+      active_(static_cast<size_t>(graph.NumVertices())) {}
 
 VertexSet DccSolver::Compute(const LayerSet& layers, int d,
                              const VertexSet& scope, DccEngine engine) {
@@ -26,7 +25,9 @@ void DccSolver::Compute(const LayerSet& layers, int d, const VertexSet& scope,
   MLCORE_DCHECK(std::is_sorted(scope.begin(), scope.end()));
   MLCORE_DCHECK(out != &scope);
   ++num_calls_;
-  BeginCall(layers, scope);
+  const size_t needed =
+      layers.size() * static_cast<size_t>(graph_.NumVertices());
+  if (layer_state_.size() < needed) layer_state_.resize(needed);
   if (engine == DccEngine::kQueue) {
     ComputeQueue(layers, d, scope, out);
   } else {
@@ -34,7 +35,14 @@ void DccSolver::Compute(const LayerSet& layers, int d, const VertexSet& scope,
   }
 }
 
-void DccSolver::BeginCall(const LayerSet& layers, const VertexSet& scope) {
+void DccSolver::StampScope(const VertexSet& scope) {
+  if (scope_epoch_.empty()) {
+    // kBins scratch is allocated on first use: kQueue never touches it.
+    const auto n = static_cast<size_t>(graph_.NumVertices());
+    scope_epoch_.assign(n, 0);
+    removed_epoch_.assign(n, 0);
+    dense_.assign(n, -1);
+  }
   if (++epoch_ == 0) {
     // uint32 wrap after ~4.3e9 calls: invalidate all stale stamps once.
     std::fill(scope_epoch_.begin(), scope_epoch_.end(), 0u);
@@ -42,17 +50,13 @@ void DccSolver::BeginCall(const LayerSet& layers, const VertexSet& scope) {
     epoch_ = 1;
   }
   for (VertexId v : scope) scope_epoch_[static_cast<size_t>(v)] = epoch_;
-  const size_t needed =
-      layers.size() * static_cast<size_t>(graph_.NumVertices());
-  if (degree_.size() < needed) degree_.resize(needed);
-  queue_.clear();
 }
 
 void DccSolver::InitDegrees(const LayerSet& layers, int d,
-                            const VertexSet& scope, bool seed_queue) {
+                            const VertexSet& scope) {
   const auto n = static_cast<size_t>(graph_.NumVertices());
   for (size_t p = 0; p < layers.size(); ++p) {
-    int32_t* block = degree_.data() + p * n;
+    int32_t* block = layer_state_.data() + p * n;
     const LayerId layer = layers[p];
     for (VertexId v : scope) {
       int32_t deg = 0;
@@ -60,36 +64,87 @@ void DccSolver::InitDegrees(const LayerSet& layers, int d,
         if (InScope(u)) ++deg;
       }
       block[static_cast<size_t>(v)] = deg;
-      if (seed_queue && deg < d && !Removed(v)) {
-        MarkRemoved(v);
-        queue_.push_back(v);
-      }
+      if (deg < d && !Removed(v)) MarkRemoved(v);
     }
   }
 }
 
+// Lazy-witness peel. layer_state_[p·n + v] of an active vertex v is in one
+// of two modes:
+//  - witness (value ≥ -1): v's layer-p neighbours with id ≤ value hold
+//    exactly d live vertices (its witnesses; -1 when d ≤ 0);
+//  - count (value ≤ -2): v has exactly -value-2 live layer-p neighbours.
+// Propagating a peeled u to v decrements a count; in witness mode it is a
+// no-op unless u ≤ value, i.e. u was a witness, and then v switches to count
+// mode: d-1 remaining witnesses plus the live neighbours past the boundary.
+// A vertex is peeled as soon as it has fewer than d live neighbours on some
+// layer. Initialisation scans each list up to its d-th live neighbour and a
+// switch scans the rest, so each list is read in full at most once per call.
 void DccSolver::ComputeQueue(const LayerSet& layers, int d,
                              const VertexSet& scope, VertexSet* out) {
-  InitDegrees(layers, d, scope, /*seed_queue=*/true);
   const auto n = static_cast<size_t>(graph_.NumVertices());
+  queue_.clear();
+  for (VertexId v : scope) {
+    live_.Set(static_cast<size_t>(v));
+    active_.Set(static_cast<size_t>(v));
+  }
+
+  for (size_t p = 0; p < layers.size(); ++p) {
+    int32_t* state = layer_state_.data() + p * n;
+    const LayerId layer = layers[p];
+    for (VertexId v : scope) {
+      if (!active_.Test(static_cast<size_t>(v))) continue;
+      const auto nbrs = graph_.Neighbors(layer, v);
+      int need = d;
+      VertexId boundary = -1;
+      if (static_cast<int64_t>(nbrs.size()) >= d) {  // else: too short
+        for (auto it = nbrs.begin(); need > 0 && it != nbrs.end(); ++it) {
+          if (live_.Test(static_cast<size_t>(*it))) {
+            boundary = *it;
+            --need;
+          }
+        }
+      }
+      if (need > 0) {
+        Peel(v);
+      } else {
+        state[static_cast<size_t>(v)] = boundary;
+      }
+    }
+  }
 
   for (size_t head = 0; head < queue_.size(); ++head) {
-    const VertexId v = queue_[head];
+    const VertexId u = queue_[head];
+    live_.Clear(static_cast<size_t>(u));
     for (size_t p = 0; p < layers.size(); ++p) {
-      int32_t* block = degree_.data() + p * n;
-      for (VertexId u : graph_.Neighbors(layers[p], v)) {
-        if (!InScope(u) || Removed(u)) continue;
-        if (--block[static_cast<size_t>(u)] < d) {
-          MarkRemoved(u);
-          queue_.push_back(u);
+      int32_t* state = layer_state_.data() + p * n;
+      for (VertexId v : graph_.Neighbors(layers[p], u)) {
+        if (!active_.Test(static_cast<size_t>(v))) continue;
+        int32_t& s = state[static_cast<size_t>(v)];
+        if (s >= -1) {
+          if (u > s) continue;  // not one of v's witnesses
+          const auto nbrs = graph_.Neighbors(layers[p], v);
+          int32_t count = d - 1;
+          for (auto it = std::upper_bound(nbrs.begin(), nbrs.end(), s);
+               it != nbrs.end(); ++it) {
+            if (live_.Test(static_cast<size_t>(*it))) ++count;
+          }
+          s = -count - 2;
+        } else {
+          ++s;  // one live neighbour fewer
         }
+        if (-s - 2 < d) Peel(v);
       }
     }
   }
 
   out->clear();
   for (VertexId v : scope) {
-    if (!Removed(v)) out->push_back(v);
+    live_.Clear(static_cast<size_t>(v));
+    if (active_.Test(static_cast<size_t>(v))) {
+      active_.Clear(static_cast<size_t>(v));
+      out->push_back(v);
+    }
   }
 }
 
@@ -100,9 +155,8 @@ void DccSolver::ComputeBins(const LayerSet& layers, int d,
   // repeatedly removed while m(v) < d. Removing one vertex lowers any m(u)
   // by at most 1 (Appendix B), so a removal moves u down at most one bin.
   //
-  // Degrees are filled through the same path as the queue engine, with its
-  // sub-threshold pre-marking kept deliberately (the seeded queue itself is
-  // discarded: bins drive the removal order). Pre-marked vertices are
+  // InitDegrees pre-marks vertices already below the threshold removed
+  // (bins, not a queue, drive the removal order). Pre-marked vertices are
   // doomed — they occupy the lowest bins and are popped before any live
   // vertex — so the decrement loop may skip them: their degree counters and
   // min_deg_ are never read again except for the pop-time `>= d` early-exit
@@ -110,8 +164,8 @@ void DccSolver::ComputeBins(const LayerSet& layers, int d,
   // them avoids the touched_ bookkeeping and bin demotion work for the
   // entire doomed set, a measurable win on low-d instances (BENCH_micro:
   // BM_DccBins/4 ≈ 1.6x).
-  InitDegrees(layers, d, scope, /*seed_queue=*/true);
-  queue_.clear();
+  StampScope(scope);
+  InitDegrees(layers, d, scope);
   const auto n = static_cast<size_t>(graph_.NumVertices());
   const size_t count = scope.size();
   out->clear();
@@ -120,7 +174,7 @@ void DccSolver::ComputeBins(const LayerSet& layers, int d,
   auto min_degree = [&](VertexId v) {
     int32_t m = INT32_MAX;
     for (size_t p = 0; p < layers.size(); ++p) {
-      m = std::min(m, degree_[p * n + static_cast<size_t>(v)]);
+      m = std::min(m, layer_state_[p * n + static_cast<size_t>(v)]);
     }
     return m;
   };
@@ -163,7 +217,7 @@ void DccSolver::ComputeBins(const LayerSet& layers, int d,
 
     touched_.clear();
     for (size_t p = 0; p < layers.size(); ++p) {
-      int32_t* block = degree_.data() + p * n;
+      int32_t* block = layer_state_.data() + p * n;
       for (VertexId u : graph_.Neighbors(layers[p], v)) {
         if (!InScope(u) || Removed(u)) continue;
         --block[static_cast<size_t>(u)];

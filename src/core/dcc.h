@@ -5,12 +5,15 @@
 #include <vector>
 
 #include "graph/multilayer_graph.h"
+#include "util/bitset.h"
 
 namespace mlcore {
 
 /// Implementation of the `dCC` procedure (paper Appendix B).
 enum class DccEngine {
-  /// Cascading-queue peeling; same asymptotics, simplest control flow.
+  /// Cascading-queue peel against d witnesses per (layer, vertex) instead of
+  /// exact degrees; same asymptotics, touches a fraction of the adjacency
+  /// when few vertices are peeled.
   kQueue,
   /// The faithful Appendix B bin/ver/pos array formulation keyed on
   /// m(v) = min_{i∈L} deg_i(v).
@@ -25,19 +28,25 @@ enum class DccEngine {
 /// layer of L. Runs in O((|scope| + m[scope])·|L|).
 ///
 /// The solver is allocation-free in steady state (see DESIGN.md §2):
-///  - Per-vertex membership scratch is *epoch-stamped*: a generation
-///    counter is bumped at the start of every call, so invalidating the
-///    previous call's marks is O(1) instead of O(|scope|).
-///  - Scoped degrees live in layer-major blocks `degree_[pos·n + v]`,
-///    where `pos` indexes the *queried* layer set. The blocks grow to the
-///    largest |L| ever queried (≤ n·l), and layer-major order keeps the
-///    per-layer peeling sweeps on contiguous memory instead of striding
-///    through an n×l matrix.
+///  - One int32 per (queried layer position p, vertex v) lives in
+///    layer-major blocks `layer_state_[p·n + v]`, grown to the largest |L|
+///    ever queried (≤ n·l). kQueue keeps a *witness state* there: either
+///    the id bounding a prefix of v's sorted layer-p list that holds exactly
+///    d live neighbours, or, once one of those witnesses is peeled, v's exact
+///    live-neighbour count. Initialisation scans each list only up to its
+///    d-th live neighbour, and every list is scanned in full at most once
+///    per call. kBins keeps the exact scoped degree there (Appendix B).
+///  - kQueue's membership scratch is two n-bit sets (`live_`, `active_`)
+///    that every call leaves all-zero, so no call pays an O(n) reset.
+///    kBins' scratch is *epoch-stamped*: a generation counter is bumped
+///    at the start of every call, so invalidating the previous call's
+///    marks is O(1) instead of O(|scope|).
 ///  - The `Compute(..., VertexSet* out)` overload writes into a
 ///    caller-owned buffer, so driver loops issuing thousands of scoped
 ///    calls perform zero result allocations after warm-up.
 ///
-/// Not thread-safe; use one solver per thread.
+/// Relies on the `MultiLayerGraph` invariant that neighbour lists are
+/// sorted. Not thread-safe; use one solver per thread.
 class DccSolver {
  public:
   explicit DccSolver(const MultiLayerGraph& graph);
@@ -64,10 +73,15 @@ class DccSolver {
   void ComputeBins(const LayerSet& layers, int d, const VertexSet& scope,
                    VertexSet* out);
 
-  // Starts a new call: bumps the epoch (resetting the stamp arrays on the
-  // rare uint32 wrap), stamps the scope, and sizes degree_ for |layers|
-  // layer-major blocks. Initial degrees are filled by the engines.
-  void BeginCall(const LayerSet& layers, const VertexSet& scope);
+  // kQueue: marks v as peeled and queues its removal for propagation.
+  void Peel(VertexId v) {
+    active_.Clear(static_cast<size_t>(v));
+    queue_.push_back(v);
+  }
+
+  // kBins: bumps the epoch (resetting the stamp arrays on the rare uint32
+  // wrap) and stamps the scope.
+  void StampScope(const VertexSet& scope);
 
   bool InScope(VertexId v) const {
     return scope_epoch_[static_cast<size_t>(v)] == epoch_;
@@ -79,28 +93,35 @@ class DccSolver {
     removed_epoch_[static_cast<size_t>(v)] = epoch_;
   }
 
-  // Fills degree_ for every (queried layer, scope vertex) pair, layer by
-  // layer. When `seed_queue` is set, vertices already below `d` are marked
-  // removed and pushed onto queue_. The queue engine consumes the queue;
-  // the bins engine discards it but keeps the removal marks as a
-  // skip-doomed-vertices optimisation (see ComputeBins).
-  void InitDegrees(const LayerSet& layers, int d, const VertexSet& scope,
-                   bool seed_queue);
+  // kBins: fills layer_state_ with the exact scoped degree of every
+  // (queried layer, scope vertex) pair, layer by layer, and marks vertices
+  // already below `d` removed (a skip-doomed-vertices optimisation, see
+  // ComputeBins).
+  void InitDegrees(const LayerSet& layers, int d, const VertexSet& scope);
 
   const MultiLayerGraph& graph_;
   int64_t num_calls_ = 0;
 
-  // Epoch stamps: v is in the current scope iff scope_epoch_[v] == epoch_,
-  // removed iff removed_epoch_[v] == epoch_.
+  // layer_state_[p * n + v]: v's state on the p-th *queried* layer. kQueue
+  // stores a witness state (see ComputeQueue), kBins the scoped degree.
+  // Grown to max |L| seen; every entry is written in a call before it is
+  // read, so stale values never need clearing.
+  std::vector<int32_t> layer_state_;
+
+  // kQueue scratch. The bitsets are all-zero between calls. live_: in scope
+  // and removal not yet propagated (what witnesses and counts count).
+  // active_: in scope and not peeled (whose state a propagation still
+  // updates, and the result). queue_: peeled vertices awaiting propagation,
+  // capacity reused across calls.
+  Bitset live_;
+  Bitset active_;
+  std::vector<VertexId> queue_;
+
+  // kBins epoch stamps: v is in the current scope iff scope_epoch_[v] ==
+  // epoch_, removed iff removed_epoch_[v] == epoch_.
   uint32_t epoch_ = 0;
   std::vector<uint32_t> scope_epoch_;
   std::vector<uint32_t> removed_epoch_;
-  // degree_[pos * n + v]: degree of scope vertex v within the scope on the
-  // pos-th *queried* layer. Grown to max |L| seen; entries are fully
-  // rewritten by InitDegrees, so stale values never need clearing.
-  std::vector<int32_t> degree_;
-  // Peeling worklist (both engines) — capacity reused across calls.
-  std::vector<VertexId> queue_;
 
   // kBins scratch: dense index per scope vertex, bin boundaries, the
   // ver/pos permutation and per-removal touched list (Appendix B arrays).

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/dcc.h"
 #include "core/dcore.h"
 #include "core/fds.h"
+#include "format/generator.h"
+#include "format/mlg.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "test_temp.h"
+#include "util/rng.h"
 
 namespace mlcore {
 namespace {
@@ -14,6 +21,8 @@ namespace {
 // Independent fixpoint reference for the d-CC definition.
 VertexSet NaiveDcc(const MultiLayerGraph& graph, const LayerSet& layers,
                    int d, VertexSet scope) {
+  std::vector<bool> in(static_cast<size_t>(graph.NumVertices()), false);
+  for (VertexId v : scope) in[static_cast<size_t>(v)] = true;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -23,7 +32,7 @@ VertexSet NaiveDcc(const MultiLayerGraph& graph, const LayerSet& layers,
       for (LayerId layer : layers) {
         int degree = 0;
         for (VertexId u : graph.Neighbors(layer, v)) {
-          if (std::binary_search(scope.begin(), scope.end(), u)) ++degree;
+          if (in[static_cast<size_t>(u)]) ++degree;
         }
         if (degree < d) {
           keep = false;
@@ -36,6 +45,8 @@ VertexSet NaiveDcc(const MultiLayerGraph& graph, const LayerSet& layers,
         changed = true;
       }
     }
+    for (VertexId v : scope) in[static_cast<size_t>(v)] = false;
+    for (VertexId v : next) in[static_cast<size_t>(v)] = true;
     scope = std::move(next);
   }
   return scope;
@@ -158,6 +169,223 @@ TEST(DccTest, EmptyScopeAndHighThreshold) {
           .empty());
 }
 
+// --- The lazy-witness kQueue kernel against exact-degree references. ---
+//
+// kQueue peels against d witnesses per (layer, vertex) and switches a
+// vertex to exact counting once a witness is peeled; kBins keeps exact
+// Appendix B degrees. Both must equal the naive fixpoint on every input.
+
+// A small R-MAT graph from format::GenerateMlg, loaded back from MLG1. R-MAT
+// puts its hubs at low ids, i.e. at the front of every sorted list.
+MultiLayerGraph GeneratedGraph(uint64_t seed) {
+  format::MlgGenConfig config;
+  config.num_vertices = 1 << 8;
+  config.num_layers = 4;
+  config.edges_per_layer = 1 << 11;
+  config.seed = seed;
+  const std::string path = TestTempPath("rmat.mlg");
+  MultiLayerGraph graph;
+  EXPECT_TRUE(format::GenerateMlg(config, path).ok());
+  EXPECT_TRUE(format::LoadMlgGraph(path, &graph).ok());
+  return graph;
+}
+
+// `graph` with its vertex ids relabelled by a seeded random permutation, so
+// witnesses are no longer the hubs.
+MultiLayerGraph PermutedIds(const MultiLayerGraph& graph, uint64_t seed) {
+  std::vector<VertexId> perm(static_cast<size_t>(graph.NumVertices()));
+  std::iota(perm.begin(), perm.end(), 0);
+  Rng rng(seed);
+  std::shuffle(perm.begin(), perm.end(), rng.engine());
+  GraphBuilder builder(graph.NumVertices(), graph.NumLayers());
+  for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      for (VertexId u : graph.Neighbors(layer, v)) {
+        if (v < u) {
+          builder.AddEdge(layer, perm[static_cast<size_t>(v)],
+                          perm[static_cast<size_t>(u)]);
+        }
+      }
+    }
+  }
+  return builder.Build();
+}
+
+void ExpectEnginesMatchNaive(DccSolver& solver, const MultiLayerGraph& graph,
+                             const LayerSet& layers, int d,
+                             const VertexSet& scope, const std::string& what) {
+  const VertexSet expected = NaiveDcc(graph, layers, d, scope);
+  EXPECT_EQ(solver.Compute(layers, d, scope, DccEngine::kQueue), expected)
+      << what;
+  EXPECT_EQ(solver.Compute(layers, d, scope, DccEngine::kBins), expected)
+      << what;
+}
+
+std::string LayerString(const LayerSet& layers) {
+  std::string out;
+  for (LayerId layer : layers) out += std::to_string(layer);
+  return out;
+}
+
+TEST(DccKernelTest, QueueMatchesBinsAndNaiveOnGeneratedGraphs) {
+  for (uint64_t seed : {3u, 4u}) {
+    const MultiLayerGraph generated = GeneratedGraph(seed);
+    const MultiLayerGraph permuted = PermutedIds(generated, seed + 100);
+    for (const MultiLayerGraph* graph : {&generated, &permuted}) {
+      const bool is_permuted = graph == &permuted;
+      const VertexSet all = AllVertices(*graph);
+      DccSolver solver(*graph);
+      Rng rng(seed * 31 + (is_permuted ? 1 : 0));
+      for (int d : {0, 1, 2, 4, 8}) {
+        for (int size = 1; size <= graph->NumLayers(); ++size) {
+          ForEachLayerCombination(
+              graph->NumLayers(), size, [&](const LayerSet& layers) {
+                VertexSet cores = all;
+                for (LayerId layer : layers) {
+                  cores = IntersectSorted(cores, DCore(*graph, layer, d));
+                }
+                VertexSet random;
+                for (VertexId v : all) {
+                  if (rng.Bernoulli(0.6)) random.push_back(v);
+                }
+                const std::string what =
+                    "seed=" + std::to_string(seed) +
+                    " permuted=" + std::to_string(is_permuted) +
+                    " d=" + std::to_string(d) + " L=" + LayerString(layers);
+                ExpectEnginesMatchNaive(solver, *graph, layers, d, all,
+                                        what + " scope=all");
+                ExpectEnginesMatchNaive(solver, *graph, layers, d, cores,
+                                        what + " scope=cores");
+                ExpectEnginesMatchNaive(solver, *graph, layers, d, random,
+                                        what + " scope=random");
+              });
+        }
+      }
+    }
+  }
+}
+
+TEST(DccKernelTest, HubLosesAllWitnessesInOneCascade) {
+  // Ids: witnesses [0, d), their leaves, a d-clique, and the hub last. The
+  // hub's d lowest neighbours are exactly the witnesses. Each witness has
+  // degree d (d-1 leaves plus the hub); each leaf has degree 1 < d, so the
+  // leaves peel first and take every witness with them in one cascade. The
+  // hub must then count its clique neighbours and survive with the clique.
+  for (int d = 2; d <= 5; ++d) {
+    const VertexId first_leaf = d;
+    const VertexId first_clique = first_leaf + d * (d - 1);
+    const VertexId hub = first_clique + d;
+    GraphBuilder builder(hub + 1, 2);
+    const LayerSet both = {0, 1};
+    VertexSet expected;
+    for (VertexId w = 0; w < d; ++w) {
+      builder.AddEdgeOnLayers(both, w, hub);
+      for (VertexId j = 0; j < d - 1; ++j) {
+        builder.AddEdgeOnLayers(both, w, first_leaf + w * (d - 1) + j);
+      }
+    }
+    for (VertexId a = first_clique; a <= hub; ++a) {
+      expected.push_back(a);
+      for (VertexId b = a + 1; b <= hub; ++b) {
+        builder.AddEdgeOnLayers(both, a, b);
+      }
+    }
+    const MultiLayerGraph graph = builder.Build();
+    DccSolver solver(graph);
+    for (const LayerSet& layers : {LayerSet{0}, LayerSet{1}, both}) {
+      EXPECT_EQ(solver.Compute(layers, d, AllVertices(graph)), expected)
+          << "d=" << d;
+      ExpectEnginesMatchNaive(solver, graph, layers, d, AllVertices(graph),
+                              "d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(DccKernelTest, VertexWithExactlyDNeighbours) {
+  // In K_{d+1} every vertex has exactly d neighbours: the clique is its own
+  // d-CC, and dropping one edge on one layer cascades it away there.
+  for (int d = 1; d <= 5; ++d) {
+    GraphBuilder builder(d + 1, 2);
+    for (VertexId a = 0; a <= d; ++a) {
+      for (VertexId b = a + 1; b <= d; ++b) {
+        builder.AddEdge(0, a, b);
+        if (a != 0 || b != d) builder.AddEdge(1, a, b);
+      }
+    }
+    const MultiLayerGraph graph = builder.Build();
+    const VertexSet all = AllVertices(graph);
+    DccSolver solver(graph);
+    for (DccEngine engine : {DccEngine::kQueue, DccEngine::kBins}) {
+      EXPECT_EQ(solver.Compute({0}, d, all, engine), all) << "d=" << d;
+      EXPECT_TRUE(solver.Compute({1}, d, all, engine).empty()) << "d=" << d;
+      EXPECT_TRUE(solver.Compute({0, 1}, d, all, engine).empty())
+          << "d=" << d;
+      EXPECT_EQ(solver.Compute({0, 1}, d - 1, all, engine), all)
+          << "d=" << d;
+    }
+  }
+}
+
+TEST(DccKernelTest, ThresholdAboveEveryDegree) {
+  const MultiLayerGraph graph = GeneratedGraph(5);
+  size_t max_degree = 0;
+  for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      max_degree = std::max(max_degree, graph.Neighbors(layer, v).size());
+    }
+  }
+  const int top = static_cast<int>(max_degree);
+  DccSolver solver(graph);
+  for (const LayerSet& layers : {LayerSet{0}, LayerSet{0, 1, 2, 3}}) {
+    for (DccEngine engine : {DccEngine::kQueue, DccEngine::kBins}) {
+      EXPECT_TRUE(
+          solver.Compute(layers, top + 1, AllVertices(graph), engine).empty());
+    }
+    ExpectEnginesMatchNaive(solver, graph, layers, top, AllVertices(graph),
+                            "d=max degree");
+  }
+}
+
+TEST(DccKernelTest, EmptyAndSingleVertexScopes) {
+  const MultiLayerGraph graph = GeneratedGraph(6);
+  DccSolver solver(graph);
+  for (DccEngine engine : {DccEngine::kQueue, DccEngine::kBins}) {
+    for (int d : {0, 1, 2}) {
+      EXPECT_TRUE(solver.Compute({0, 1}, d, {}, engine).empty());
+    }
+    // Vertex 0 is R-MAT's biggest hub, so only its scope keeps it out.
+    EXPECT_EQ(solver.Compute({0, 1}, 0, {0}, engine), (VertexSet{0}));
+    EXPECT_TRUE(solver.Compute({0, 1}, 1, {0}, engine).empty());
+  }
+}
+
+TEST(DccKernelTest, SolverReuseAcrossGrowingAndShrinkingLayerSets) {
+  // One solver, |L| growing to l and shrinking back, scopes and d varying,
+  // engines interleaved: every answer must equal a fresh solver's.
+  const MultiLayerGraph graph = PermutedIds(GeneratedGraph(7), 8);
+  const VertexSet all = AllVertices(graph);
+  const VertexSet cores =
+      IntersectSorted(DCore(graph, 1, 2), DCore(graph, 3, 2));
+  const std::vector<LayerSet> sequence = {
+      {2}, {0, 3}, {0, 1, 3}, {0, 1, 2, 3}, {1, 2, 3}, {1, 3}, {0},
+      {0, 1, 2, 3}, {3}};
+  DccSolver reused(graph);
+  int64_t calls = 0;
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    const LayerSet& layers = sequence[i];
+    const int d = 1 + static_cast<int>(i % 4);
+    const VertexSet& scope = i % 2 == 0 ? all : cores;
+    VertexSet out = {42};  // stale contents must be cleared
+    reused.Compute(layers, d, scope, &out);
+    DccSolver fresh(graph);
+    EXPECT_EQ(out, fresh.Compute(layers, d, scope)) << "call " << i;
+    EXPECT_EQ(reused.Compute(layers, d, scope, DccEngine::kBins), out)
+        << "call " << i;
+    calls += 2;
+  }
+  EXPECT_EQ(reused.num_calls(), calls);
+}
+
 // --- Paper §II properties as parameterized sweeps. ---
 
 class DccPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -270,8 +498,8 @@ TEST(FdsTest, BinomialCoefficient) {
 
 TEST(FdsTest, CombinationEnumerationCountsAndOrder) {
   std::vector<LayerSet> seen;
-  ForEachLayerCombination(5, 3,
-                          [&](const LayerSet& layers) { seen.push_back(layers); });
+  ForEachLayerCombination(
+      5, 3, [&](const LayerSet& layers) { seen.push_back(layers); });
   EXPECT_EQ(static_cast<int64_t>(seen.size()), BinomialCoefficient(5, 3));
   EXPECT_EQ(seen.front(), (LayerSet{0, 1, 2}));
   EXPECT_EQ(seen.back(), (LayerSet{2, 3, 4}));

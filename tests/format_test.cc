@@ -27,14 +27,11 @@
 #include "graph/multilayer_graph.h"
 #include "obs/span.h"
 #include "store/graph_store.h"
+#include "test_temp.h"
 #include "util/mmap_file.h"
 
 namespace mlcore {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "mlcore_format_" + name;
-}
 
 std::vector<char> ReadAllBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -91,7 +88,7 @@ void ExpectSameResult(const DccsResult& actual, const DccsResult& expected) {
 TEST(FormatRoundTripTest, EveryDatasetSurvivesTextBinaryLoadBitIdentically) {
   for (const std::string& name : DatasetNames()) {
     const Dataset dataset = MakeDataset(name, 0.15);
-    const std::string bin = TempPath("rt_" + name + ".mlg");
+    const std::string bin = TestTempPath("rt_" + name + ".mlg");
     ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, bin).ok()) << name;
 
     MultiLayerGraph mapped;
@@ -108,8 +105,8 @@ TEST(FormatRoundTripTest, EveryDatasetSurvivesTextBinaryLoadBitIdentically) {
 
 TEST(FormatRoundTripTest, RewritingMappedGraphIsByteIdentical) {
   const Dataset dataset = MakeDataset("ppi");
-  const std::string first = TempPath("bytes_a.mlg");
-  const std::string second = TempPath("bytes_b.mlg");
+  const std::string first = TestTempPath("bytes_a.mlg");
+  const std::string second = TestTempPath("bytes_b.mlg");
   ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, first).ok());
 
   MultiLayerGraph mapped;
@@ -124,8 +121,8 @@ TEST(FormatRoundTripTest, RewritingMappedGraphIsByteIdentical) {
 
 TEST(FormatRoundTripTest, TextRoundTripThroughContainerPreservesGraph) {
   const Dataset dataset = MakeDataset("author", 0.2);
-  const std::string text = TempPath("rt.txt");
-  const std::string bin = TempPath("rt.mlg");
+  const std::string text = TestTempPath("rt.txt");
+  const std::string bin = TestTempPath("rt.mlg");
   ASSERT_TRUE(SaveMultiLayerGraph(dataset.graph, text).ok);
 
   MultiLayerGraph from_text;
@@ -140,7 +137,7 @@ TEST(FormatRoundTripTest, TextRoundTripThroughContainerPreservesGraph) {
 
 TEST(FormatRoundTripTest, MappedGraphAnswersQueriesIdentically) {
   const Dataset dataset = MakeDataset("ppi");
-  const std::string bin = TempPath("query.mlg");
+  const std::string bin = TestTempPath("query.mlg");
   ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, bin).ok());
   MultiLayerGraph mapped;
   ASSERT_TRUE(format::LoadMlgGraph(bin, &mapped).ok());
@@ -161,7 +158,7 @@ TEST(FormatRoundTripTest, MappedGraphAnswersQueriesIdentically) {
 
 TEST(FormatRoundTripTest, LoadRecordsGraphLoadSpanAndStats) {
   const Dataset dataset = MakeDataset("ppi", 0.3);
-  const std::string bin = TempPath("span.mlg");
+  const std::string bin = TestTempPath("span.mlg");
   ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, bin).ok());
 
   obs::Trace trace;
@@ -188,7 +185,7 @@ TEST(FormatRoundTripTest, LoadRecordsGraphLoadSpanAndStats) {
 class FormatCorruptionTest : public testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath("corrupt.mlg");
+    path_ = TestTempPath("corrupt.mlg");
     const Dataset dataset = MakeDataset("ppi", 0.3);
     ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, path_).ok());
     bytes_ = ReadAllBytes(path_);
@@ -264,7 +261,8 @@ TEST_F(FormatCorruptionTest, SectionOffsetPastEofIsRejected) {
   // alignment check cannot mask the bounds check), with the header/table
   // checksum recomputed — the bounds validation itself must catch it.
   const uint64_t table_offset = ReadU64(40);
-  const size_t entry_offset_field = table_offset + 8;  // kind+layer, then offset
+  // The entry holds kind+layer, then the offset.
+  const size_t entry_offset_field = table_offset + 8;
   const uint64_t past_eof = (bytes_.size() + 4096) & ~uint64_t{63};
   ExpectRejected(PatchedWithValidChecksum(entry_offset_field, past_eof));
 }
@@ -310,7 +308,7 @@ TEST_F(FormatCorruptionTest, CorruptCsrStructureIsRejectedEvenUnchecksummed) {
 TEST_F(FormatCorruptionTest, UnfinishedWriteIsRejected) {
   // Open writes a placeholder header with a zero checksum; without Finish
   // the file must not validate.
-  const std::string partial = TempPath("partial.mlg");
+  const std::string partial = TestTempPath("partial.mlg");
   {
     format::MlgWriter writer;
     ASSERT_TRUE(writer.Open(partial, 4, 1).ok());
@@ -330,7 +328,7 @@ TEST_F(FormatCorruptionTest, UnfinishedWriteIsRejected) {
 
 TEST(FormatMappedEngineTest, UpdateEpochOnMappedBaseMatchesTextOracle) {
   const Dataset dataset = MakeDataset("ppi", 0.4);
-  const std::string bin = TempPath("engine.mlg");
+  const std::string bin = TestTempPath("engine.mlg");
   ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, bin).ok());
   auto mapped = std::make_shared<MultiLayerGraph>();
   ASSERT_TRUE(format::LoadMlgGraph(bin, mapped.get()).ok());
@@ -376,7 +374,7 @@ TEST(FormatMappedEngineTest, UpdateEpochOnMappedBaseMatchesTextOracle) {
 TEST(FormatMappedEngineTest, EditedCopyKeepsUntouchedLayersMapped) {
   const Dataset dataset = MakeDataset("ppi", 0.4);
   ASSERT_GE(dataset.graph.NumLayers(), 2);
-  const std::string bin = TempPath("edited.mlg");
+  const std::string bin = TestTempPath("edited.mlg");
   ASSERT_TRUE(format::WriteMlgGraph(dataset.graph, bin).ok());
   MultiLayerGraph mapped;
   ASSERT_TRUE(format::LoadMlgGraph(bin, &mapped).ok());
@@ -422,8 +420,8 @@ TEST(FormatGeneratorTest, SameSeedProducesByteIdenticalFiles) {
   config.edges_per_layer = 1 << 12;
   config.seed = 42;
 
-  const std::string a = TempPath("gen_a.mlg");
-  const std::string b = TempPath("gen_b.mlg");
+  const std::string a = TestTempPath("gen_a.mlg");
+  const std::string b = TestTempPath("gen_b.mlg");
   format::MlgGenStats stats;
   ASSERT_TRUE(GenerateMlg(config, a, &stats).ok());
   ASSERT_TRUE(GenerateMlg(config, b).ok());
@@ -444,7 +442,7 @@ TEST(FormatGeneratorTest, GeneratedGraphLoadsAndOverlapSpansLayers) {
   config.edges_per_layer = 1 << 12;
   config.layer_overlap = 0.5;
 
-  const std::string path = TempPath("gen_load.mlg");
+  const std::string path = TestTempPath("gen_load.mlg");
   ASSERT_TRUE(GenerateMlg(config, path, nullptr).ok());
   MultiLayerGraph graph;
   format::MlgLoadStats stats;
@@ -468,7 +466,7 @@ TEST(FormatGeneratorTest, GeneratedGraphLoadsAndOverlapSpansLayers) {
 }
 
 TEST(FormatGeneratorTest, InvalidConfigsAreRejected) {
-  const std::string path = TempPath("gen_bad.mlg");
+  const std::string path = TestTempPath("gen_bad.mlg");
   format::MlgGenConfig config;
   config.num_vertices = 1;
   EXPECT_FALSE(GenerateMlg(config, path).ok());
@@ -489,13 +487,13 @@ TEST(FormatGeneratorTest, InvalidConfigsAreRejected) {
 TEST(MmapFileTest, MissingFileReturnsStatus) {
   util::MmapFile file;
   const Status status =
-      util::MmapFile::Open(TempPath("does_not_exist"), &file);
+      util::MmapFile::Open(TestTempPath("does_not_exist"), &file);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message.find("does_not_exist"), std::string::npos);
 }
 
 TEST(MmapFileTest, MapsContentsAndSupportsMoveAndReset) {
-  const std::string path = TempPath("mmap.bin");
+  const std::string path = TestTempPath("mmap.bin");
   WriteText(path, "hello mlg");
   util::MmapFile file;
   ASSERT_TRUE(util::MmapFile::Open(path, &file).ok());
@@ -511,7 +509,7 @@ TEST(MmapFileTest, MapsContentsAndSupportsMoveAndReset) {
 }
 
 TEST(MmapFileTest, EmptyFileMapsAsEmpty) {
-  const std::string path = TempPath("mmap_empty.bin");
+  const std::string path = TestTempPath("mmap_empty.bin");
   WriteText(path, "");
   util::MmapFile file;
   ASSERT_TRUE(util::MmapFile::Open(path, &file).ok());
@@ -526,7 +524,7 @@ TEST(MmapFileTest, EmptyFileMapsAsEmpty) {
 class FormatTextParserTest : public testing::Test {
  protected:
   IoStatus Load(const std::string& text) {
-    path_ = TempPath("parse.txt");
+    path_ = TestTempPath("parse.txt");
     WriteText(path_, text);
     MultiLayerGraph graph;
     IoStatus status = LoadMultiLayerGraph(path_, &graph);

@@ -9,6 +9,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "test_temp.h"
 #include "util/task_group.h"
 
 // Observability primitives (DESIGN.md §12). Every suite here is named
@@ -370,7 +371,7 @@ TEST(ObsExportTest, PrometheusShape) {
 }
 
 TEST(ObsExportTest, WriteFileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "obs_export_test.json";
+  const std::string path = TestTempPath("obs_export_test.json");
   ASSERT_TRUE(obs::WriteFile(path, "{\"version\": 1}\n"));
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);

@@ -19,6 +19,7 @@
 #include "graph/graph_builder.h"
 #include "graph/io.h"
 #include "store/graph_store.h"
+#include "test_temp.h"
 #include "util/rng.h"
 
 namespace mlcore {
@@ -318,7 +319,7 @@ TEST(UpdateStreamIoTest, RoundTripsBatches) {
   second.AddVertices(3).RemoveVertex(7).Insert(2, 5, 9);
   batches.push_back(second);
 
-  const std::string path = "/tmp/mlcore_update_stream_test.txt";
+  const std::string path = TestTempPath("update_stream_test.txt");
   ASSERT_TRUE(SaveUpdateStream(batches, path).ok);
   std::vector<UpdateBatch> loaded;
   IoStatus status = LoadUpdateStream(path, &loaded);
@@ -334,7 +335,7 @@ TEST(UpdateStreamIoTest, RoundTripsBatches) {
 }
 
 TEST(UpdateStreamIoTest, RejectsMalformedRecordsWithLineNumbers) {
-  const std::string path = "/tmp/mlcore_update_stream_bad.txt";
+  const std::string path = TestTempPath("update_stream_bad.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -352,7 +353,7 @@ TEST(UpdateStreamIoTest, RejectsMalformedRecordsWithLineNumbers) {
 // batch without `commit` still loads, and record-free batches are
 // dropped.
 TEST(UpdateStreamIoTest, ParsesThroughCommentsAndBlankLines) {
-  const std::string path = "/tmp/mlcore_update_stream_comments.txt";
+  const std::string path = TestTempPath("update_stream_comments.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
@@ -396,7 +397,7 @@ TEST(UpdateStreamIoTest, SaveLoadRoundTripPreservesBatchesThroughComments) {
   second.AddVertices(4).RemoveVertex(1).Remove(0, 1, 2);
   batches.push_back(second);
 
-  const std::string path = "/tmp/mlcore_update_stream_roundtrip.txt";
+  const std::string path = TestTempPath("update_stream_roundtrip.txt");
   ASSERT_TRUE(SaveUpdateStream(batches, path).ok);
   // Splice extra comments/blank lines into the saved file; the reload
   // must be unaffected.
@@ -424,7 +425,7 @@ TEST(UpdateStreamIoTest, SaveLoadRoundTripPreservesBatchesThroughComments) {
 // validation story (GraphStore::ApplyUpdate owns the graph-dependent
 // half).
 TEST(UpdateStreamIoTest, EveryRecordKindRejectsWithPathLineContext) {
-  const std::string path = "/tmp/mlcore_update_stream_records.txt";
+  const std::string path = TestTempPath("update_stream_records.txt");
   struct Case {
     const char* content;
     const char* needle;  // expected fragment of the message
@@ -457,7 +458,7 @@ TEST(UpdateStreamIoTest, EveryRecordKindRejectsWithPathLineContext) {
 }
 
 TEST(GraphLoaderTest, RejectsDuplicateAndSelfLoopEdgesWithLineNumbers) {
-  const std::string path = "/tmp/mlcore_loader_strict.txt";
+  const std::string path = TestTempPath("loader_strict.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
