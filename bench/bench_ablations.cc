@@ -1,14 +1,7 @@
-// Ablations of mlcore's own design choices (not a paper figure; DESIGN.md
-// §3 calls these out):
-//
-//   1. dCC peeling engine: Appendix-B bin arrays vs cascading queue.
-//   2. TD-DCCS RefineC: index-based two-pass search (Lemma 8 + Lemma 9)
-//      vs the reference path (Lemma 8 scope + plain peeling).
-//
-// Both pairs must return identical results; the tables report the time
-// trade-off on the evaluation datasets.
-
-#include <cstdio>
+// Ablation of an mlcore design choice (not a paper figure; DESIGN.md §2
+// describes both engines): the dCC peeling engine, Appendix-B bin arrays vs
+// the cascading lazy-witness queue. Both must return identical results; the
+// table reports the time trade-off on the evaluation datasets.
 
 #include "bench_common.h"
 
@@ -17,7 +10,7 @@ int main(int argc, char** argv) {
   mlcore::bench::BenchContext context(flags);
 
   mlcore::bench::PrintFigureHeader(
-      "Ablation 1: dCC engine (queue vs Appendix-B bins), BU-DCCS s=3",
+      "Ablation: dCC engine (queue vs Appendix-B bins), BU-DCCS s=3",
       "identical covers; comparable times (same asymptotics)");
   mlcore::Table engine_table({"graph", "queue (s)", "bins (s)",
                               "cover equal"});
@@ -36,27 +29,5 @@ int main(int argc, char** argv) {
                          queue_run.cover == bins_run.cover ? "yes" : "NO"});
   }
   engine_table.Print();
-  std::printf("\n");
-
-  mlcore::bench::PrintFigureHeader(
-      "Ablation 2: TD-DCCS RefineC (index search vs reference peel), s=l-2",
-      "identical covers; the index search skips chain-unreachable vertices");
-  mlcore::Table refinec_table({"graph", "indexed (s)", "reference (s)",
-                               "cover equal"});
-  for (const char* name : {"german", "wiki", "english"}) {
-    const mlcore::Dataset& dataset = context.Load(name);
-    mlcore::DccsParams params;
-    params.s = dataset.graph.NumLayers() - 2;
-    params.use_index_refinec = true;
-    auto indexed = mlcore::bench::RunAlgorithm(
-        dataset.graph, params, mlcore::DccsAlgorithm::kTopDown);
-    params.use_index_refinec = false;
-    auto reference = mlcore::bench::RunAlgorithm(
-        dataset.graph, params, mlcore::DccsAlgorithm::kTopDown);
-    refinec_table.AddRow({name, mlcore::Table::Num(indexed.seconds),
-                          mlcore::Table::Num(reference.seconds),
-                          indexed.cover == reference.cover ? "yes" : "NO"});
-  }
-  refinec_table.Print();
   return 0;
 }

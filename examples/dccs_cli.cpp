@@ -8,6 +8,8 @@
 //       [--cancel_after_ms=T] [--budget_ms=T] [--updates=stream.txt]
 //       [--subscribe] [--metrics_json=PATH]
 //
+// Flags are strict: an unknown flag name prints the usage and exits 1.
+//
 // The query goes through the engine's asynchronous path (Engine::Submit,
 // DESIGN.md §7): --deadline_ms attaches a wall-clock deadline, --priority
 // sets the admission priority, and --cancel_after_ms cancels the submitted
@@ -67,6 +69,14 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: dccs_cli [--graph=FILE | --graph_bin=FILE.mlg | --demo]\n"
+    "    [--d=4] [--s=3] [--k=10] [--algorithm=auto|greedy|bu|td]\n"
+    "    [--engine=queue|bins] [--csv] [--threads=N] [--search_threads=N]\n"
+    "    [--priority=P] [--deadline_ms=T] [--cancel_after_ms=T]\n"
+    "    [--budget_ms=T] [--updates=stream.txt] [--subscribe]\n"
+    "    [--metrics_json=PATH]\n";
+
 // Unknown names are rejected, never mapped to a default.
 std::optional<mlcore::DccsAlgorithm> ParseAlgorithm(const std::string& name) {
   if (name == "auto") return mlcore::DccsAlgorithm::kAuto;  // engine resolves
@@ -86,6 +96,17 @@ std::optional<mlcore::DccEngine> ParseEngine(const std::string& name) {
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  const std::vector<std::string> unknown = flags.Unknown(
+      {"algorithm", "budget_ms", "cancel_after_ms", "csv", "d", "deadline_ms",
+       "demo", "engine", "graph", "graph_bin", "k", "metrics_json", "priority",
+       "s", "search_threads", "subscribe", "threads", "updates"});
+  if (!unknown.empty()) {
+    for (const std::string& name : unknown) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+    }
+    std::fputs(kUsage, stderr);
+    return 1;
+  }
 
   const std::string algorithm_name = flags.GetString("algorithm", "auto");
   const std::optional<mlcore::DccsAlgorithm> algorithm =

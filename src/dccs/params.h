@@ -64,12 +64,6 @@ struct DccsParams {
   bool vertex_deletion = true;
   bool sort_layers = true;
   bool init_result = true;
-
-  // --- Top-down specific. ---
-  /// Use the index-based RefineC search of §V-C (true) or the reference
-  /// Lemma 8 scope + dCC peeling (false). Both compute the identical d-CC;
-  /// see DESIGN.md.
-  bool use_index_refinec = true;
 };
 
 /// One returned d-CC: the layer subset L (|L| = s) and C^d_L(G).

@@ -43,6 +43,16 @@ int MaxComplement(int l, const LayerSet& positions) {
   return 63 - __builtin_clzll(missing);
 }
 
+// Lemma 8: any C^d_{L'}(G) lies inside {v : stage(v) ≥ |L'|}.
+void StageScope(const VertexLevelIndex& index, const VertexSet& potential,
+                int depth, VertexSet* scope) {
+  scope->clear();
+  scope->reserve(potential.size());
+  for (VertexId v : potential) {
+    if (index.stage(v) >= depth) scope->push_back(v);
+  }
+}
+
 /// Per-lane RefineU/RefineC machinery of TD-Gen (paper Figs 9/10) with its
 /// scratch arenas. The parallel search materialises lattice children on
 /// worker lanes concurrently; each lane owns one refiner (and one solver),
@@ -61,12 +71,7 @@ class TdRefiner {
         preprocess_(preprocess),
         order_(order),
         index_(index),
-        solver_(solver),
-        state_(static_cast<size_t>(graph.NumVertices()), kUntouched),
-        dplus_(static_cast<size_t>(graph.NumVertices()) *
-                   static_cast<size_t>(graph.NumLayers()),
-               0),
-        in_z_(static_cast<size_t>(graph.NumVertices())) {}
+        solver_(solver) {}
 
   DccSolver& solver() { return solver_; }
 
@@ -106,23 +111,15 @@ class TdRefiner {
     solver_.Compute(ids_buf_, params_.d, filtered, out, params_.dcc_engine);
   }
 
-  // RefineC: computes C^d_{L'}(G) inside U^d_{L'}. Both paths first apply
-  // the Lemma 8 stage bound.
+  // RefineC: computes C^d_{L'}(G) inside U^d_{L'} by peeling the Lemma 8
+  // stage scope with the d-CC kernel, in place of Fig 10's level-by-level
+  // index search (DESIGN.md §3).
   void RefineC(const VertexSet& potential, const LayerSet& positions,
                VertexSet* out) {
-    const auto depth = static_cast<int>(positions.size());
-    scope_buf_.clear();
-    scope_buf_.reserve(potential.size());
-    for (VertexId v : potential) {
-      if (index_.stage(v) >= depth) scope_buf_.push_back(v);
-    }
+    StageScope(index_, potential, static_cast<int>(positions.size()),
+               &scope_buf_);
     ToLayerIdsInto(positions, &ids_buf_);
-    if (!params_.use_index_refinec) {
-      solver_.Compute(ids_buf_, params_.d, scope_buf_, out,
-                      params_.dcc_engine);
-      return;
-    }
-    RefineCIndexed(scope_buf_, ids_buf_, out);
+    solver_.Compute(ids_buf_, params_.d, scope_buf_, out, params_.dcc_engine);
   }
 
  private:
@@ -135,15 +132,6 @@ class TdRefiner {
     PositionsToLayerIds(order_, positions, ids);
   }
 
-  // The index-based Fig 10 search in the two-pass form justified by
-  // Lemma 9: (1) keep only vertices reachable through a level-monotone
-  // chain of index edges from a vertex whose label L(w) covers L'; (2) peel
-  // the reached set to d-density on L'. Fig 10's single fused sweep
-  // (states + CascadeD) discards reachable vertices on mixed levels and
-  // under-approximates the d-CC; see DESIGN.md §3.
-  void RefineCIndexed(const VertexSet& scope, const LayerSet& ids,
-                      VertexSet* out);
-
   const MultiLayerGraph& graph_;
   const DccsParams& params_;
   const PreprocessResult& preprocess_;
@@ -151,126 +139,12 @@ class TdRefiner {
   const VertexLevelIndex& index_;
   DccSolver& solver_;
 
-  // RefineCIndexed scratch (cleared per call along the visited scope).
-  static constexpr uint8_t kUntouched = 0;  // unexplored
-  static constexpr uint8_t kUndetermined = 1;
-  static constexpr uint8_t kDiscarded = 2;
-  std::vector<uint8_t> state_;
-  std::vector<int32_t> dplus_;
-  Bitset in_z_;
-
   // Reusable buffers: the search calls RefineU/RefineC thousands of times
-  // on this lane; these hold their transient layer translations, scope
-  // filters and intermediate sets across calls.
+  // on this lane; these hold their transient layer translations and scope
+  // filters across calls.
   LayerSet class1_, class2_, ids_buf_;
-  VertexSet filter_buf_, scope_buf_, reached_buf_;
-  std::vector<std::pair<int, VertexId>> by_level_buf_;
-  std::vector<VertexId> peel_queue_;
+  VertexSet filter_buf_, scope_buf_;
 };
-
-void TdRefiner::RefineCIndexed(const VertexSet& scope, const LayerSet& ids,
-                               VertexSet* out) {
-  const auto l = static_cast<size_t>(graph_.NumLayers());
-  out->clear();
-  if (scope.empty()) return;
-
-  for (VertexId v : scope) {
-    in_z_.Set(static_cast<size_t>(v));
-    state_[static_cast<size_t>(v)] = kUntouched;
-  }
-
-  // --- Pass 1 (Lemma 9 filter): keep vertices reachable through a
-  // level-monotone chain of index edges starting from a vertex whose label
-  // covers L'. Sweeping levels in ascending order makes one pass
-  // sufficient: a vertex is reached either by its own label or from a
-  // strictly lower (already swept) level.
-  std::vector<std::pair<int, VertexId>>& by_level = by_level_buf_;
-  by_level.clear();
-  by_level.reserve(scope.size());
-  for (VertexId v : scope) by_level.emplace_back(index_.level(v), v);
-  std::sort(by_level.begin(), by_level.end());
-
-  auto label_covers = [&](VertexId v) {
-    const LayerSet& label = index_.label(v);
-    return std::includes(label.begin(), label.end(), ids.begin(), ids.end());
-  };
-
-  VertexSet& reached = reached_buf_;
-  reached.clear();
-  reached.reserve(scope.size());
-  for (const auto& [level, v] : by_level) {
-    if (state_[static_cast<size_t>(v)] == kUntouched && !label_covers(v)) {
-      state_[static_cast<size_t>(v)] = kDiscarded;
-      continue;
-    }
-    state_[static_cast<size_t>(v)] = kUndetermined;
-    reached.push_back(v);
-    for (LayerId layer : ids) {
-      for (VertexId u : graph_.Neighbors(layer, v)) {
-        if (!in_z_.Test(static_cast<size_t>(u))) continue;
-        if (state_[static_cast<size_t>(u)] == kUntouched &&
-            index_.level(u) > level) {
-          // Mark u as reached-from-below; validated when its level sweeps.
-          state_[static_cast<size_t>(u)] = kUndetermined;
-        }
-      }
-    }
-  }
-  std::sort(reached.begin(), reached.end());
-
-  // --- Pass 2: peel `reached` to d-density on L' (cascading deletions on
-  // the d⁺ counters — the RefineC/CascadeD bookkeeping of Fig 10).
-  for (VertexId v : reached) {
-    for (LayerId layer : ids) {
-      int32_t count = 0;
-      for (VertexId u : graph_.Neighbors(layer, v)) {
-        // Every vertex still kUndetermined after pass 1 is in `reached`.
-        if (in_z_.Test(static_cast<size_t>(u)) &&
-            state_[static_cast<size_t>(u)] == kUndetermined) {
-          ++count;
-        }
-      }
-      dplus_[static_cast<size_t>(v) * l + static_cast<size_t>(layer)] = count;
-    }
-  }
-  std::vector<VertexId>& queue = peel_queue_;
-  queue.clear();
-  for (VertexId v : reached) {
-    for (LayerId layer : ids) {
-      if (dplus_[static_cast<size_t>(v) * l + static_cast<size_t>(layer)] <
-          params_.d) {
-        state_[static_cast<size_t>(v)] = kDiscarded;
-        queue.push_back(v);
-        break;
-      }
-    }
-  }
-  for (size_t head = 0; head < queue.size(); ++head) {
-    VertexId v = queue[head];
-    for (LayerId layer : ids) {
-      for (VertexId u : graph_.Neighbors(layer, v)) {
-        if (!in_z_.Test(static_cast<size_t>(u)) ||
-            state_[static_cast<size_t>(u)] != kUndetermined) {
-          continue;
-        }
-        auto& du =
-            dplus_[static_cast<size_t>(u) * l + static_cast<size_t>(layer)];
-        if (--du < params_.d) {
-          state_[static_cast<size_t>(u)] = kDiscarded;
-          queue.push_back(u);
-        }
-      }
-    }
-  }
-
-  for (VertexId v : reached) {
-    if (state_[static_cast<size_t>(v)] == kUndetermined) out->push_back(v);
-  }
-  for (VertexId v : scope) {
-    in_z_.Clear(static_cast<size_t>(v));
-    state_[static_cast<size_t>(v)] = kUntouched;
-  }
-}
 
 /// TD-Gen (paper Fig 8), restructured like BottomUpSearch: this class is
 /// the sequential commit driver — it owns every pruning test, Update, rng
@@ -610,11 +484,7 @@ class TopDownSearch {
         descendant.push_back(p);
       }
     }
-    scope_buf_.clear();
-    scope_buf_.reserve(potential.size());
-    for (VertexId v : potential) {
-      if (index_.stage(v) >= params_.s) scope_buf_.push_back(v);
-    }
+    StageScope(index_, potential, params_.s, &scope_buf_);
     ToLayerIdsInto(descendant, &ids_buf_);
     const int64_t before = solver_.num_calls();
     solver_.Compute(ids_buf_, params_.d, scope_buf_, &core_buf_,
@@ -756,9 +626,9 @@ DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
   }
   const std::vector<LayerId>& order =
       exec.layer_order != nullptr ? *exec.layer_order : *local_order;
-  // Fig 11 line 3: the vertex index (always consulted — RefineC's Lemma 8
-  // stage filter needs it even on the reference path), cached by the
-  // engine per (d, s) because it is built over `preprocess.active`.
+  // Fig 11 line 3: the vertex index, whose stages give RefineC's and the
+  // Lemma 7 shortcut's Lemma 8 scope; cached by the engine per (d, s)
+  // because it is built over `preprocess.active`.
   std::optional<VertexLevelIndex> local_index;
   if (exec.index == nullptr) {
     local_index.emplace(graph, params.d, preprocess.active);

@@ -10,10 +10,11 @@ namespace mlcore {
 /// The TD-DCCS algorithm (paper §V, Figs 8–11): depth-first search over the
 /// top-down layer-subset lattice from the full layer set down to level s,
 /// maintaining for each node both the d-CC C^d_L(G) and its potential
-/// vertex set U^d_L(G). Implements RefineU (Fig 9), RefineC (Fig 10, either
-/// the faithful index-based search or the reference Lemma 8 + peeling path,
-/// selected by `params.use_index_refinec`), the §V-C vertex index, and the
-/// Lemma 5–7 pruning rules. Approximation ratio 1/4 (Theorem 4).
+/// vertex set U^d_L(G). Implements RefineU (Fig 9), RefineC (Fig 10's
+/// result: the §V-C vertex index bounds the core by Lemma 8 and the d-CC
+/// kernel peels that scope, in place of Fig 10's level-by-level search; see
+/// DESIGN.md §3), and the Lemma 5–7 pruning rules. Approximation ratio 1/4
+/// (Theorem 4).
 ///
 /// Designed for s ≥ l/2 (the paper restricts §V to that regime); the
 /// implementation accepts any s but the search degenerates for small s.

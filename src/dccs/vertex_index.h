@@ -21,8 +21,10 @@ namespace mlcore {
 ///   - label(v): L(v), the layers whose d-core contained v just before its
 ///     batch was removed.
 ///
-/// Lemma 8 then bounds any C^d_{L'}(G) inside {v : stage(v) ≥ |L'|}, and
-/// Lemma 9 justifies the level-by-level RefineC search.
+/// Lemma 8 then bounds any C^d_{L'}(G) inside {v : stage(v) ≥ |L'|}: TD-DCCS
+/// reads only stage(v), to scope RefineC. level(v) and label(v) are what the
+/// paper's Lemma 9 level-by-level search would read; TD-DCCS does not run
+/// that search (DESIGN.md §3).
 class VertexLevelIndex {
  public:
   /// Builds the index over the vertices in `active` (sorted) with degree

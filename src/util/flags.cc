@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string_view>
 
@@ -42,5 +43,16 @@ bool Flags::GetBool(const std::string& key, bool def) const {
 }
 
 bool Flags::Has(const std::string& key) const { return values_.count(key) > 0; }
+
+std::vector<std::string> Flags::Unknown(
+    std::initializer_list<std::string_view> accepted) const {
+  std::vector<std::string> unknown;
+  for (const auto& [key, value] : values_) {
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      unknown.push_back(key);
+    }
+  }
+  return unknown;
+}
 
 }  // namespace mlcore

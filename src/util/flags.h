@@ -1,8 +1,11 @@
 #ifndef MLCORE_UTIL_FLAGS_H_
 #define MLCORE_UTIL_FLAGS_H_
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace mlcore {
 
@@ -20,6 +23,12 @@ class Flags {
   bool GetBool(const std::string& key, bool def) const;
 
   bool Has(const std::string& key) const;
+
+  /// Parsed flag names that are not in `accepted`, sorted. A binary with
+  /// strict flags passes every name it reads and treats a non-empty result
+  /// as a usage error, so a misspelt flag is never silently ignored.
+  std::vector<std::string> Unknown(
+      std::initializer_list<std::string_view> accepted) const;
 
  private:
   std::map<std::string, std::string> values_;

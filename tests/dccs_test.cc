@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include "core/dcc.h"
 #include "core/fds.h"
 #include "dccs/dccs.h"
+#include "format/generator.h"
+#include "format/mlg.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "test_temp.h"
 
 namespace mlcore {
 namespace {
@@ -197,23 +203,57 @@ TEST(DccsTest, GreedyMatchesHandComputedExample) {
   }
 }
 
-TEST(DccsTest, TopDownRefineCVariantsAgree) {
+// RefineC is the Lemma 8 stage scope peeled by the d-CC kernel; every core
+// TD returns must be the exact d-CC of its layer set on either kernel engine
+// and at any lane count, and the result must not depend on either.
+void ExpectTopDownCoresExact(const MultiLayerGraph& graph, DccsParams params,
+                             const std::string& label) {
+  std::optional<DccsResult> first;
+  for (DccEngine engine : {DccEngine::kQueue, DccEngine::kBins}) {
+    for (int lanes : {1, 8}) {
+      params.dcc_engine = engine;
+      params.search_threads = lanes;
+      DccsResult result = TopDownDccs(graph, params);
+      ASSERT_FALSE(result.cores.empty()) << label;
+      for (const auto& core : result.cores) {
+        EXPECT_EQ(core.vertices, CoherentCore(graph, core.layers, params.d))
+            << label << " lanes=" << lanes;
+      }
+      if (!first.has_value()) {
+        first = std::move(result);
+      } else {
+        EXPECT_EQ(result.cores, first->cores) << label << " lanes=" << lanes;
+      }
+    }
+  }
+}
+
+TEST(DccsTest, TopDownCoresAreExactDcc) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
-    MultiLayerGraph graph = SmallPlanted(seed + 300, 140, 6);
     DccsParams params;
     params.d = 3;
     params.s = 4;
     params.k = 4;
-    params.use_index_refinec = true;
-    DccsResult faithful = TopDownDccs(graph, params);
-    params.use_index_refinec = false;
-    DccsResult reference = TopDownDccs(graph, params);
-    ASSERT_EQ(faithful.cores.size(), reference.cores.size()) << seed;
-    for (size_t i = 0; i < faithful.cores.size(); ++i) {
-      EXPECT_EQ(faithful.cores[i].layers, reference.cores[i].layers);
-      EXPECT_EQ(faithful.cores[i].vertices, reference.cores[i].vertices);
-    }
+    ExpectTopDownCoresExact(SmallPlanted(seed + 300, 140, 6), params,
+                            "planted seed=" + std::to_string(seed));
   }
+  // An R-MAT instance on which a level-by-level (Lemma 9) RefineC drops
+  // vertices of two returned d-CCs.
+  format::MlgGenConfig config;
+  config.num_vertices = 128;
+  config.num_layers = 5;
+  config.edges_per_layer = 512;
+  config.layer_overlap = 0.302;
+  config.seed = 256910193;
+  const std::string path = TestTempPath("rmat.mlg");
+  MultiLayerGraph rmat;
+  ASSERT_TRUE(format::GenerateMlg(config, path).ok());
+  ASSERT_TRUE(format::LoadMlgGraph(path, &rmat).ok());
+  DccsParams params;
+  params.d = 4;
+  params.s = 4;
+  params.k = 8;
+  ExpectTopDownCoresExact(rmat, params, "rmat");
 }
 
 TEST(DccsTest, BottomUpPrunesComparedToGreedy) {

@@ -117,13 +117,13 @@ TEST_P(ParallelSearchTest, FreeFunctionResultsThreadInvariant) {
 TEST_P(ParallelSearchTest, ThreadInvariantAcrossAblationToggles) {
   const DccsAlgorithm algorithm = GetParam();
   MultiLayerGraph graph = SearchGraph(43);
-  // The pruning ablations exercise every driver commit path (no seeds, no
-  // layer sort, reference RefineC); each must stay thread-invariant.
+  // The ablations exercise every driver commit path (no seeds, no layer
+  // sort, the bins kernel engine); each must stay thread-invariant.
   for (int toggle = 0; toggle < 3; ++toggle) {
     DccsParams params = SearchParams(algorithm);
     if (toggle == 0) params.init_result = false;
     if (toggle == 1) params.sort_layers = false;
-    if (toggle == 2) params.use_index_refinec = false;
+    if (toggle == 2) params.dcc_engine = DccEngine::kBins;
 
     params.search_threads = 1;
     const DccsResult sequential = SolveDccs(graph, params, algorithm);

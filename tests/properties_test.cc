@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "core/dcc.h"
 #include "core/fds.h"
 #include "dccs/dccs.h"
+#include "format/generator.h"
+#include "format/mlg.h"
 #include "graph/generators.h"
+#include "test_temp.h"
+#include "util/rng.h"
 
 namespace mlcore {
 namespace {
@@ -118,6 +124,95 @@ INSTANTIATE_TEST_SUITE_P(
       return "d" + std::to_string(std::get<0>(info.param)) + "_s" +
              std::to_string(std::get<1>(info.param));
     });
+
+// --- Seeded oracle sweep ---------------------------------------------------
+//
+// Random instances instead of the fixed grid: small R-MAT graphs from
+// format::GenerateMlg and planted graphs, 4–6 layers, random (d, s, k),
+// kernel engine and search lanes. Every other round draws s ≥ l/2, the
+// top-down regime, so TD's RefineC runs at many lattice depths. Every
+// answer is checked against ExactDccs. Each algorithm also runs with
+// k ≥ C(l, s), so every d-CC it can return is checked to be exact, not just
+// a small top-k: a RefineC that drops a few core vertices on some lattice
+// nodes rarely shows in the top three.
+
+MultiLayerGraph OracleRmat(Rng& rng, int32_t layers) {
+  format::MlgGenConfig config;
+  config.num_vertices = static_cast<int32_t>(1 << rng.Uniform(6, 8));
+  config.num_layers = layers;
+  config.edges_per_layer = config.num_vertices * rng.Uniform(2, 8);
+  config.layer_overlap = 0.1 + 0.6 * rng.UniformReal();
+  config.seed = static_cast<uint64_t>(rng.Uniform(1, 1 << 30));
+  const std::string path = TestTempPath("oracle.mlg");
+  MultiLayerGraph graph;
+  EXPECT_TRUE(format::GenerateMlg(config, path).ok());
+  EXPECT_TRUE(format::LoadMlgGraph(path, &graph).ok());
+  return graph;
+}
+
+MultiLayerGraph OraclePlanted(Rng& rng, int32_t layers) {
+  PlantedGraphConfig config;
+  config.num_vertices = static_cast<int32_t>(rng.Uniform(60, 140));
+  config.num_layers = layers;
+  config.num_communities = static_cast<int>(rng.Uniform(3, 8));
+  config.community_size_min = 6;
+  config.community_size_max = static_cast<int>(rng.Uniform(8, 16));
+  config.internal_prob_min = 0.6;
+  config.internal_prob_max = 0.95;
+  config.background_avg_degree = 2.0 * rng.UniformReal();
+  config.seed = static_cast<uint64_t>(rng.Uniform(1, 1 << 30));
+  return GeneratePlanted(config).graph;
+}
+
+class OracleSweepTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(OracleSweepTest, RandomInstancesMeetBoundsAgainstExact) {
+  Rng rng(GetParam() * 0x9e3779b97f4a7c15ULL + 11);
+  for (int round = 0; round < 16; ++round) {
+    const auto l = static_cast<int32_t>(rng.Uniform(4, 6));
+    const bool rmat = round % 4 < 2;
+    MultiLayerGraph graph = rmat ? OracleRmat(rng, l) : OraclePlanted(rng, l);
+    DccsParams params;
+    params.d = static_cast<int>(rng.Uniform(1, 5));
+    params.s = static_cast<int>(round % 2 == 0 ? rng.Uniform(1, l)
+                                               : rng.Uniform((l + 1) / 2, l));
+    params.k = static_cast<int>(rng.Uniform(1, 3));
+    params.dcc_engine =
+        rng.Bernoulli(0.5) ? DccEngine::kQueue : DccEngine::kBins;
+    params.search_threads = rng.Bernoulli(0.5) ? 1 : 4;
+    std::ostringstream where;
+    where << "seed=" << GetParam() << " round=" << round
+          << (rmat ? " rmat" : " planted") << " l=" << l << " d=" << params.d
+          << " s=" << params.s << " k=" << params.k;
+
+    const double opt =
+        static_cast<double>(ExactDccs(graph, params).CoverSize());
+    DccsParams all_cores = params;
+    all_cores.k = 20;  // C(6, 3), the most layer subsets at l ≤ 6
+    for (DccsAlgorithm algorithm :
+         {DccsAlgorithm::kGreedy, DccsAlgorithm::kBottomUp,
+          DccsAlgorithm::kTopDown}) {
+      DccsResult result = SolveDccs(graph, params, algorithm);
+      const double cover = static_cast<double>(result.CoverSize());
+      const double ratio =
+          algorithm == DccsAlgorithm::kGreedy ? 1.0 - 1.0 / 2.718281828 : 0.25;
+      EXPECT_GE(cover + 1e-9, ratio * opt)
+          << AlgorithmName(algorithm) << " " << where.str();
+      for (const DccsResult& run :
+           {result, SolveDccs(graph, all_cores, algorithm)}) {
+        for (const auto& core : run.cores) {
+          ASSERT_EQ(static_cast<int>(core.layers.size()), params.s);
+          EXPECT_EQ(core.vertices, CoherentCore(graph, core.layers, params.d))
+              << AlgorithmName(algorithm) << " returned a non-d-CC set, "
+              << where.str();
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OracleSweepTest,
+                         ::testing::Range<uint64_t>(0, 8));
 
 }  // namespace
 }  // namespace mlcore

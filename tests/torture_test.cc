@@ -44,7 +44,6 @@ TEST_P(TortureTest, RandomConfigurationsStaySound) {
     params.init_result = rng.Bernoulli(0.7);
     params.dcc_engine =
         rng.Bernoulli(0.5) ? DccEngine::kQueue : DccEngine::kBins;
-    params.use_index_refinec = rng.Bernoulli(0.5);
 
     DccsResult exact = ExactDccs(graph, params);
     for (DccsAlgorithm algorithm :

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -118,6 +119,16 @@ TEST(FlagsTest, ParsesKeyValueAndBooleans) {
   EXPECT_EQ(flags.GetInt("missing", 7), 7);
   EXPECT_TRUE(flags.Has("k"));
   EXPECT_FALSE(flags.Has("j"));
+}
+
+TEST(FlagsTest, UnknownListsNamesOutsideTheAcceptedSet) {
+  const char* argv[] = {"prog", "--k=10", "--algo=bu", "positional",
+                        "--quick", "--engnie=bins"};
+  Flags flags(6, const_cast<char**>(argv));
+  EXPECT_EQ(flags.Unknown({"k", "quick", "algorithm"}),
+            (std::vector<std::string>{"algo", "engnie"}));
+  EXPECT_TRUE(flags.Unknown({"k", "quick", "algo", "engnie"}).empty());
+  EXPECT_EQ(flags.Unknown({}).size(), 4u);
 }
 
 TEST(TableTest, CsvRoundTrip) {
