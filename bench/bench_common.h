@@ -22,11 +22,11 @@ namespace mlcore::bench {
 
 /// Shared harness context for the figure-reproduction binaries.
 ///
-/// Process-wide default for DccsParams::search_threads, set from the
-/// --search_threads flag by BenchContext: every figure binary's
-/// single-query searches run in parallel mode without per-bench plumbing
-/// (RunAlgorithm applies it to params still at the default). Results are
-/// bit-identical at any value (DESIGN.md §10) — only timings change.
+/// Process-wide default search lanes for the cold runs of RunAlgorithm,
+/// set from the --search_threads flag by BenchContext: every figure
+/// binary's single-query searches run in parallel mode without per-bench
+/// plumbing. Results are bit-identical at any value (DESIGN.md §10) — only
+/// timings change.
 inline int& DefaultSearchThreads() {
   static int value = 1;
   return value;
@@ -114,22 +114,6 @@ struct RunOutcome {
   SearchStats stats;
 };
 
-/// Cold run: a temporary single-query Engine per call (via SolveDccs), so
-/// every row of a figure pays the full preprocessing cost the paper
-/// measures. Use the Engine overload below when a harness deliberately
-/// wants cross-query reuse (bench_engine_reuse).
-inline RunOutcome RunAlgorithm(const MultiLayerGraph& graph,
-                               const DccsParams& params,
-                               DccsAlgorithm algorithm) {
-  DccsParams effective = params;
-  if (effective.search_threads <= 1) {
-    effective.search_threads = DefaultSearchThreads();
-  }
-  DccsResult result = SolveDccs(graph, effective, algorithm);
-  return RunOutcome{result.stats.total_seconds, result.CoverSize(),
-                    result.stats};
-}
-
 /// Warm-capable run through a long-lived Engine: repeat (d, s) keys hit the
 /// preprocessing cache (DESIGN.md §5). Aborts on invalid requests — bench
 /// parameters are trusted.
@@ -139,6 +123,19 @@ inline RunOutcome RunAlgorithm(Engine& engine, const DccsParams& params,
   MLCORE_CHECK_MSG(response.ok(), response.status().message.c_str());
   return RunOutcome{response->stats.total_seconds, response->CoverSize(),
                     response->stats};
+}
+
+/// Cold run: a temporary single-query Engine per call on `search_threads`
+/// lanes, so every row of a figure pays the full preprocessing cost the
+/// paper measures. Use the Engine overload above when a harness
+/// deliberately wants cross-query reuse (bench_engine_reuse).
+inline RunOutcome RunAlgorithm(const MultiLayerGraph& graph,
+                               const DccsParams& params,
+                               DccsAlgorithm algorithm,
+                               int search_threads = DefaultSearchThreads()) {
+  Engine engine(&graph, Engine::Options{.query_workers = 0,
+                                        .search_threads = search_threads});
+  return RunAlgorithm(engine, params, algorithm);
 }
 
 /// Deterministic churn batch against the current graph: `size` edge

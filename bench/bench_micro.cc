@@ -149,9 +149,10 @@ void BM_GreedyDccs(benchmark::State& state) {
   params.d = 4;
   params.s = 3;
   params.k = 10;
-  params.num_threads = static_cast<int>(state.range(0));
+  mlcore::ThreadPool pool(static_cast<int>(state.range(0)));
+  const mlcore::DccsExecution exec{.pool = &pool};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mlcore::GreedyDccs(graph, params));
+    benchmark::DoNotOptimize(mlcore::GreedyDccs(graph, params, exec));
   }
 }
 BENCHMARK(BM_GreedyDccs)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
@@ -198,7 +199,7 @@ void BM_VertexIndexBuild(benchmark::State& state) {
   mlcore::VertexSet all = mlcore::AllVertices(graph);
   for (auto _ : state) {
     mlcore::VertexLevelIndex index(graph, 4, all);
-    benchmark::DoNotOptimize(index.num_levels());
+    benchmark::DoNotOptimize(index.stage(all.front()));
   }
 }
 BENCHMARK(BM_VertexIndexBuild);

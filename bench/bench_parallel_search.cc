@@ -98,13 +98,13 @@ int main(int argc, char** argv) {
       int64_t baseline_cover = 0;
       int64_t baseline_candidates = 0;
       for (int threads : thread_sweep) {
-        params.search_threads = threads;
         // Best-of-repeats: per-point noise would otherwise dominate the
         // small quick-mode graphs.
         mlcore::bench::RunOutcome best;
         for (int r = 0; r < repeats; ++r) {
           mlcore::bench::RunOutcome outcome =
-              mlcore::bench::RunAlgorithm(gc.graph, params, ac.algorithm);
+              mlcore::bench::RunAlgorithm(gc.graph, params, ac.algorithm,
+                                          threads);
           if (r == 0 ||
               outcome.stats.search_seconds < best.stats.search_seconds) {
             best = outcome;
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
         out,
         "{\n"
         "  \"description\": \"bench_parallel_search: single-query BU/TD "
-        "search-phase speedup vs DccsParams::search_threads on the Fig "
+        "search-phase speedup vs Engine::Options::search_threads on the Fig "
         "26/27 stack samples (DESIGN.md \\u00a710). Every parallel run is "
         "verified bit-identical to the sequential baseline; "
         "speculative_evals is the wasted work the speedup costs.\",\n"

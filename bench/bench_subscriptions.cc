@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
           }
         } else {
           auto snap = store->snapshot();
-          mlcore::Engine cold(snap->graph_ptr(),
+          mlcore::Engine cold(&snap->graph(),
                               mlcore::Engine::Options{.query_workers = 0});
           for (size_t q = 0; q < requests.size(); ++q) {
             auto response = cold.Run(requests[q]);

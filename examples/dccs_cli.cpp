@@ -127,6 +127,22 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Each thread count spawns that many OS threads up front; an absurd value
+  // must be a usage error, not a std::system_error abort mid-construction.
+  constexpr long long kMaxThreads = 256;
+  const long long threads = flags.GetInt("threads", 1);
+  const long long search_threads = flags.GetInt("search_threads", 1);
+  for (const auto& [name, value] :
+       {std::pair{"threads", threads},
+        std::pair{"search_threads", search_threads}}) {
+    if (value < 1 || value > kMaxThreads) {
+      std::fprintf(stderr, "error: --%s=%lld out of range (accepted: 1..%lld)\n",
+                   name, value, kMaxThreads);
+      std::fputs(kUsage, stderr);
+      return 1;
+    }
+  }
+
   const std::string binary_path = flags.GetString("graph_bin", "");
   std::string path = flags.GetString("graph", "");
   if (binary_path.empty() &&
@@ -198,9 +214,8 @@ int main(int argc, char** argv) {
   mlcore::Engine engine(
       store,
       mlcore::Engine::Options{
-          .num_threads = static_cast<int>(flags.GetInt("threads", 1)),
-          .search_threads =
-              static_cast<int>(flags.GetInt("search_threads", 1))});
+          .num_threads = static_cast<int>(threads),
+          .search_threads = static_cast<int>(search_threads)});
   mlcore::SubmitOptions submit;
   submit.priority = static_cast<int>(flags.GetInt("priority", 0));
   submit.deadline_seconds = flags.GetDouble("deadline_ms", 0.0) / 1e3;

@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
   request.params.s = static_cast<int>(flags.GetInt("s", 2));
   request.params.k = static_cast<int>(flags.GetInt("k", 2));
 
-  // The engine owns the graph; queries borrow its cached preprocessing.
-  // Holding the snapshot pins the graph no matter what updates later
-  // publish (Engine::graph() is deprecated for exactly that reason).
-  mlcore::Engine engine(BuildToyGraph());
+  // The engine serves a store that owns the graph; queries borrow its
+  // cached preprocessing. Holding the snapshot pins the graph no matter
+  // what updates later publish.
+  mlcore::Engine engine(std::make_shared<mlcore::GraphStore>(BuildToyGraph()));
   auto snapshot = engine.store()->snapshot();
   const mlcore::MultiLayerGraph& graph = snapshot->graph();
   std::printf("toy graph: %d vertices, %d layers, %lld edges\n",

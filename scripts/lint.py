@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific concurrency/robustness lint (DESIGN.md §11, §12, §13).
 
-Five rules over src/:
+Four rules over src/:
 
   naked-mutex      std::mutex / std::condition_variable / std::lock_guard /
                    std::unique_lock / std::scoped_lock / std::shared_mutex /
@@ -21,12 +21,6 @@ Five rules over src/:
                    MLCORE_DCHECK; genuine abort-by-contract sites carry a
                    `NOLINT(mlcore-release-check): <reason>` marker on the
                    same line or within the three lines above.
-
-  snapshot-bypass  `current_graph(` is banned in src/service: it reads the
-                   store without pinning an epoch and is valid only until
-                   the next ApplyUpdate. Request paths must hold
-                   store()->snapshot(). Deliberate uses carry
-                   `NOLINT(mlcore-snapshot-bypass): <reason>`.
 
   raw-walltimer    declaring a WallTimer by value is banned in src/service:
                    service timings must flow through obs::Span (a null-trace
@@ -68,7 +62,6 @@ NAKED_MUTEX = re.compile(
     r"|recursive_timed_mutex|shared_timed_mutex)\b"
 )
 RELEASE_CHECK = re.compile(r"\bMLCORE_CHECK(?:_MSG)?\s*\(")
-SNAPSHOT_BYPASS = re.compile(r"\bcurrent_graph\s*\(")
 # Value declarations only: `WallTimer t;` / `mlcore::WallTimer t;`.
 # `const WallTimer& t = span.timer()` has '&' before the identifier and
 # does not match (no new clock is created).
@@ -168,18 +161,6 @@ def lint_file(path: Path) -> list[str]:
                     "MLCORE_DCHECK (Validate-guaranteed precondition) or "
                     "return a Status, or justify with "
                     "NOLINT(mlcore-release-check): <reason>"
-                )
-
-    if rel.parts[:2] == ("src", "service"):
-        for i, line in enumerate(code):
-            if SNAPSHOT_BYPASS.search(line) and not has_marker(
-                raw, i, "NOLINT(mlcore-snapshot-bypass)"
-            ):
-                findings.append(
-                    f"{rel}:{i + 1}: [snapshot-bypass] current_graph() is "
-                    "valid only until the next ApplyUpdate; pin "
-                    "store()->snapshot() instead, or justify with "
-                    "NOLINT(mlcore-snapshot-bypass): <reason>"
                 )
 
     if rel.parts[:2] == ("src", "service"):

@@ -1,11 +1,9 @@
 #include "dccs/bottom_up.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -13,30 +11,24 @@
 #include "dccs/concurrent_topk.h"
 #include "dccs/cover.h"
 #include "dccs/preprocess.h"
+#include "dccs/search_lanes.h"
 #include "obs/span.h"
-#include "util/task_group.h"
-#include "util/thread_pool.h"
 #include "util/timing.h"
 
 namespace mlcore {
 
 namespace {
 
-// Lifecycle of one speculative child evaluation (DESIGN.md §10). Exactly
-// one thread wins the kPending -> kRunning CAS — a task-group worker, or
-// the commit driver claiming the slot inline (which at search_threads == 1
-// is how every slot runs, reproducing the sequential search).
-constexpr uint8_t kSlotPending = 0;
-constexpr uint8_t kSlotRunning = 1;
-constexpr uint8_t kSlotDone = 2;
-constexpr uint8_t kSlotCancelled = 3;
+/// BU child evaluations need no per-lane buffers beyond the solver.
+struct NoScratch {};
+using Lanes = SearchLanes<NoScratch>;
 
 /// The BU-Gen search (paper Fig 3), restructured for intra-query
 /// parallelism: the recursion below is the sequential *commit driver* — it
 /// makes every pruning, ordering, recursion and top-k decision in the
 /// exact order and against the exact state of the historical sequential
 /// search — while the d-CC evaluations of lattice children (the expensive
-/// part) run as speculative tasks on a work-stealing TaskGroup. A stale
+/// part) run as speculative tasks on the search lanes. A stale
 /// published bound only launches evaluations the driver will later discard
 /// (counted as stats.speculative_evals), so results are bit-identical at
 /// any thread count. Layers are addressed by *position* in the sorted
@@ -47,30 +39,16 @@ class BottomUpSearch {
   BottomUpSearch(const MultiLayerGraph& graph, const DccsParams& params,
                  const PreprocessResult& preprocess,
                  const std::vector<LayerId>& order,
-                 const DccsExecution& exec, DccSolver& solver,
+                 const DccsExecution& exec, LaneArenas<NoScratch>& arenas,
                  ConcurrentTopK& result, SearchStats& stats,
                  obs::SpanId lane_parent)
       : graph_(graph),
         params_(params),
         preprocess_(preprocess),
         order_(order),
-        control_(exec.control),
-        worker_solver_(exec.worker_solver),
-        solver_(solver),
         result_(result),
         stats_(stats),
-        trace_(exec.trace),
-        lane_parent_(lane_parent) {
-    const int threads = std::max(1, exec.search_threads);
-    if (threads > 1) {
-      lane_solvers_.resize(static_cast<size_t>(threads), nullptr);
-      owned_solvers_.resize(static_cast<size_t>(threads));
-      group_.emplace(threads);
-      if (obs::kEnabled && trace_ != nullptr) {
-        lane_obs_.resize(static_cast<size_t>(threads));
-      }
-    }
-  }
+        lanes_(arenas, params, exec, stats, lane_parent) {}
 
   void Run() {
     auto root = std::make_shared<Node>();
@@ -79,13 +57,7 @@ class BottomUpSearch {
     Prepare(*root);
     SpawnEvals(root);
     Gen(root);
-    if (!lane_obs_.empty()) {
-      // Joining here (instead of at destruction) quiesces the lanes so the
-      // per-lane aggregates below are complete; stale speculative tasks
-      // are discarded either way.
-      group_.reset();
-      CommitLaneSpans();
-    }
+    lanes_.Finish();
   }
 
   /// dCC evaluations the commit driver consumed — the deterministic part
@@ -93,16 +65,12 @@ class BottomUpSearch {
   int64_t committed_calls() const { return committed_calls_; }
   /// All dCC evaluations performed, including speculative ones whose slot
   /// was never committed; thread-count-dependent.
-  int64_t executed_calls() const {
-    return executed_calls_.load(std::memory_order_relaxed);
-  }
+  int64_t executed_calls() const { return lanes_.executed_calls(); }
 
  private:
-  struct EvalSlot {
+  struct EvalSlot : LaneSlot {
     LayerSet ids;     // the child's L translated to layer ids
     VertexSet core;   // output: C^d_L of the child
-    int64_t solver_calls = 0;
-    std::atomic<uint8_t> state{kSlotPending};
   };
 
   /// One prepared lattice node: its children's scopes and evaluation
@@ -120,38 +88,9 @@ class BottomUpSearch {
     std::unique_ptr<EvalSlot[]> slots;
   };
 
-  // Cooperative checkpoint, polled by the driver once per committed child
-  // (a subset-lattice node boundary): the anytime time_budget_seconds,
-  // plus the injected QueryControl's cancellation/deadline. When any fires
-  // the search unwinds; for budget/deadline the temporary top-k set
-  // becomes the (anytime) result, for cancellation the caller discards it.
-  bool StopRequested() {
-    if (stats_.stopped != QueryStop::kNone) return true;
-    return LatchQueryStop(
-        CheckQueryStop(control_, params_.time_budget_seconds, timer_),
-        &stats_);
-  }
-
   const VertexSet& CoreAtPosition(int pos) const {
     return preprocess_.layer_cores[static_cast<size_t>(
         order_[static_cast<size_t>(pos)])];
-  }
-
-  DccSolver& SolverFor(int worker) {
-    if (worker == 0) return solver_;
-    DccSolver*& lane = lane_solvers_[static_cast<size_t>(worker)];
-    // Each lane is serviced by exactly one thread, so lazy init is
-    // race-free without synchronisation.
-    if (lane == nullptr) {
-      if (worker_solver_) {
-        lane = worker_solver_(worker);
-      } else {
-        owned_solvers_[static_cast<size_t>(worker)] =
-            std::make_unique<DccSolver>(graph_);
-        lane = owned_solvers_[static_cast<size_t>(worker)].get();
-      }
-    }
-    return *lane;
   }
 
   /// Computes LP, the per-child scopes and the child evaluation slots.
@@ -179,13 +118,22 @@ class BottomUpSearch {
     }
   }
 
+  /// The evaluation of child `idx`: its d-CC inside its scope.
+  auto EvalFor(Node& node, size_t idx) {
+    return [this, &node, idx](DccSolver& solver, NoScratch&) {
+      EvalSlot& slot = node.slots[idx];
+      solver.Compute(slot.ids, params_.d, node.scopes[idx], &slot.core,
+                     params_.dcc_engine);
+    };
+  }
+
   /// Launches the node's child evaluations on the task group, largest
   /// scope first (the order the commit loop consumes once R is full).
   /// Children already hopeless under the *published* bound are not
   /// launched: if the driver nevertheless needs one (the published bound
   /// was stale), it claims the still-pending slot inline.
   void SpawnEvals(const std::shared_ptr<Node>& node) {
-    if (!group_) return;
+    if (!lanes_.parallel()) return;
     const size_t n = node->expandable.size();
     if (n == 0) return;
     spawn_order_.clear();
@@ -201,64 +149,18 @@ class BottomUpSearch {
               static_cast<int64_t>(node->scopes[idx].size()))) {
         continue;
       }
-      group_->Spawn(0, [this, node, idx](int worker) {
-        RunEval(*node, idx, worker);
-      });
+      lanes_.Spawn(node, node->slots[idx], EvalFor(*node, idx));
     }
   }
 
-  /// Claims and runs one child evaluation; no-op when another thread (or a
-  /// cancellation) already owns the slot.
-  void RunEval(Node& node, size_t idx, int worker) {
-    EvalSlot& slot = node.slots[idx];
-    uint8_t expected = kSlotPending;
-    if (!slot.state.compare_exchange_strong(expected, kSlotRunning,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      return;
-    }
-    DccSolver& solver = SolverFor(worker);
-    const int64_t before = solver.num_calls();
-    if (LaneObs* lane = LaneFor(worker)) {
-      WallTimer busy;
-      ThreadCpuTimer cpu;
-      solver.Compute(slot.ids, params_.d, node.scopes[idx], &slot.core,
-                     params_.dcc_engine);
-      lane->busy_seconds += busy.Seconds();
-      const double cpu_seconds = cpu.Seconds();
-      if (cpu_seconds > 0) lane->cpu_seconds += cpu_seconds;
-      ++lane->evals;
-    } else {
-      solver.Compute(slot.ids, params_.d, node.scopes[idx], &slot.core,
-                     params_.dcc_engine);
-    }
-    slot.solver_calls = solver.num_calls() - before;
-    executed_calls_.fetch_add(slot.solver_calls, std::memory_order_relaxed);
-    slot.state.store(kSlotDone, std::memory_order_release);
-  }
-
-  /// Blocks (productively) until the slot's evaluation exists: claims an
-  /// unclaimed slot inline, otherwise helps drain the task group while a
-  /// worker finishes it.
   EvalSlot& WaitSlot(Node& node, size_t idx) {
-    EvalSlot& slot = node.slots[idx];
-    RunEval(node, idx, 0);
-    while (slot.state.load(std::memory_order_acquire) != kSlotDone) {
-      if (!group_ || !group_->TryRunOne(0)) std::this_thread::yield();
-    }
-    return slot;
-  }
-
-  void CancelSlot(EvalSlot& slot) {
-    uint8_t expected = kSlotPending;
-    slot.state.compare_exchange_strong(expected, kSlotCancelled,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
+    lanes_.Wait(node.slots[idx], EvalFor(node, idx));
+    return node.slots[idx];
   }
 
   void CancelPending(Node& node) {
     for (size_t idx = 0; idx < node.expandable.size(); ++idx) {
-      CancelSlot(node.slots[idx]);
+      Lanes::Cancel(node.slots[idx]);
     }
   }
 
@@ -280,7 +182,7 @@ class BottomUpSearch {
     if (!result_.full()) {
       // Lines 2–9: no pruning is applicable while |R| < k.
       for (size_t idx = 0; idx < n; ++idx) {
-        if (StopRequested()) {
+        if (lanes_.StopRequested()) {
           CancelPending(*node);
           return;
         }
@@ -308,7 +210,7 @@ class BottomUpSearch {
                          return node->scopes[a].size() > node->scopes[b].size();
                        });
       for (size_t rank = 0; rank < n; ++rank) {
-        if (StopRequested()) {
+        if (lanes_.StopRequested()) {
           CancelPending(*node);
           return;
         }
@@ -319,7 +221,7 @@ class BottomUpSearch {
           // Lemma 3: this and all later children in the order are hopeless.
           stats_.pruned_order += static_cast<int64_t>(n - rank);
           for (size_t r = rank; r < n; ++r) {
-            CancelSlot(node->slots[order_buf_[r]]);
+            Lanes::Cancel(node->slots[order_buf_[r]]);
           }
           break;
         }
@@ -368,7 +270,7 @@ class BottomUpSearch {
       children.push_back(std::move(child));
     }
     for (size_t c = 0; c < children.size(); ++c) {
-      if (StopRequested()) {
+      if (lanes_.StopRequested()) {
         for (size_t rest = c; rest < children.size(); ++rest) {
           CancelPending(*children[rest]);
         }
@@ -378,75 +280,24 @@ class BottomUpSearch {
     }
   }
 
-  /// One "search.lane" span per TaskGroup lane, aggregating the lane's
-  /// claimed-evaluation busy time (wall + thread CPU). Lane entries are
-  /// single-writer while the group runs; committed only after the group
-  /// joins. Cache-line aligned so lanes never false-share.
-  struct alignas(64) LaneObs {
-    double busy_seconds = 0;
-    double cpu_seconds = 0;
-    int64_t evals = 0;
-  };
-
-  LaneObs* LaneFor(int worker) {
-    return lane_obs_.empty() ? nullptr
-                             : &lane_obs_[static_cast<size_t>(worker)];
-  }
-
-  void CommitLaneSpans() {
-    for (const LaneObs& lane : lane_obs_) {
-      if (lane.evals == 0) continue;
-      trace_->Add("search.lane", lane_parent_, trace_->AgeMs(),
-                  lane.busy_seconds * 1e3,
-                  lane.cpu_seconds > 0 ? lane.cpu_seconds * 1e3 : -1);
-    }
-  }
-
   const MultiLayerGraph& graph_;
   const DccsParams& params_;
   const PreprocessResult& preprocess_;
   const std::vector<LayerId>& order_;
-  const QueryControl* control_;
-  const std::function<DccSolver*(int worker)> worker_solver_;
-  DccSolver& solver_;
   ConcurrentTopK& result_;
   SearchStats& stats_;
-  obs::Trace* trace_;
-  const obs::SpanId lane_parent_;
-  std::vector<LaneObs> lane_obs_;
-  WallTimer timer_;
 
   int64_t committed_calls_ = 0;
-  std::atomic<int64_t> executed_calls_{0};
 
   // Driver-side reusable buffers (never touched by tasks).
   LayerSet positions_buf_;
   std::vector<size_t> order_buf_, spawn_order_;
 
-  // Lane 0 uses solver_; other lanes resolve through worker_solver_ or an
-  // owned per-lane fallback, each lane single-threaded by construction.
-  std::vector<DccSolver*> lane_solvers_;
-  std::vector<std::unique_ptr<DccSolver>> owned_solvers_;
-
-  // Last member: destroyed first, so in-flight task closures (which
-  // reference this object and its nodes) finish before anything above
-  // goes away.
-  std::optional<TaskGroup> group_;
+  // Last member: task closures reference this search and its nodes.
+  Lanes lanes_;
 };
 
 }  // namespace
-
-DccsResult BottomUpDccs(const MultiLayerGraph& graph,
-                        const DccsParams& params) {
-  // Per-layer d-cores of preprocessing fan out over a pool scoped to this
-  // call; the search phase parallelises over params.search_threads lanes
-  // of its own (DESIGN.md §10).
-  ThreadPool pool(params.num_threads);
-  DccsExecution exec;
-  exec.pool = &pool;
-  exec.search_threads = params.search_threads;
-  return BottomUpDccs(graph, params, exec);
-}
 
 DccsResult BottomUpDccs(const MultiLayerGraph& graph, const DccsParams& params,
                         const DccsExecution& exec) {
@@ -490,9 +341,8 @@ DccsResult BottomUpDccs(const MultiLayerGraph& graph, const DccsParams& params,
 
   obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
   const WallTimer& search_timer = search_span.timer();
-  std::optional<DccSolver> local_solver;
-  if (exec.solver == nullptr) local_solver.emplace(graph);
-  DccSolver& solver = exec.solver != nullptr ? *exec.solver : *local_solver;
+  LaneArenas<NoScratch> arenas(graph, exec, exec.search_threads);
+  DccSolver& solver = *arenas[0].solver;
 
   // Fig 7 line 8: greedy initialisation of R (Appendix D) — replayed from a
   // cached capture, copied from an already-seeded prototype, or computed.
@@ -524,7 +374,7 @@ DccsResult BottomUpDccs(const MultiLayerGraph& graph, const DccsParams& params,
   // Fig 7 line 10: recursive candidate generation (the commit driver),
   // with child evaluations fanned out over exec.search_threads lanes.
   ConcurrentTopK top_k(std::move(seeded));
-  BottomUpSearch search(graph, params, preprocess, order, exec, solver, top_k,
+  BottomUpSearch search(graph, params, preprocess, order, exec, arenas, top_k,
                         result.stats, search_span.id());
   search.Run();
   search_span.End();

@@ -16,17 +16,12 @@ namespace mlcore {
 ///
 /// Preferable when s < l/2; see TD-DCCS for large s.
 ///
-/// One-shot form: self-contained, preprocesses from scratch (a thin wrapper
-/// over the execution-injecting overload below; prefer `mlcore::Engine` for
-/// repeated queries on one graph).
-DccsResult BottomUpDccs(const MultiLayerGraph& graph,
-                        const DccsParams& params);
-
-/// Execution-injecting form: reuses whatever cached state `exec` provides
-/// (see dccs/execution.h). Semantics and results are identical to the
-/// one-shot form for a matching execution.
+/// Reuses whatever cached state `exec` provides (see dccs/execution.h); the
+/// default execution is self-contained and sequential, preprocessing from
+/// scratch (prefer `mlcore::Engine` for repeated queries on one graph).
+/// Results are identical for every matching execution.
 DccsResult BottomUpDccs(const MultiLayerGraph& graph, const DccsParams& params,
-                        const DccsExecution& exec);
+                        const DccsExecution& exec = {});
 
 }  // namespace mlcore
 

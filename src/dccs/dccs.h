@@ -9,8 +9,9 @@
 ///   #include "dccs/dccs.h"
 ///
 ///   mlcore::MultiLayerGraph graph = ...;   // via GraphBuilder / io / datasets
-///   mlcore::Engine engine(std::move(graph),
-///                         {.num_threads = 4});
+///   mlcore::Engine engine(
+///       std::make_shared<mlcore::GraphStore>(std::move(graph)),
+///       {.num_threads = 4, .search_threads = 4});
 ///   mlcore::DccsRequest request;           // algorithm defaults to kAuto
 ///   request.params.d = 4; request.params.s = 3; request.params.k = 10;
 ///   mlcore::Expected<mlcore::DccsResult> response = engine.Run(request);
@@ -36,11 +37,15 @@
 ///   mlcore::Subscription sub = *engine.Subscribe(request);
 ///   while (auto revision = sub.Next()) { /* revision->delta */ }
 ///
-/// One-shot form — a thin wrapper constructing a temporary Engine per call;
-/// fine for scripts and tests, wasteful for repeated queries:
+/// One-shot form — a thin wrapper constructing a temporary sequential
+/// Engine per call; fine for scripts and tests, wasteful for repeated
+/// queries:
 ///
 ///   mlcore::DccsResult result = mlcore::SolveDccs(
 ///       graph, params, mlcore::DccsAlgorithm::kBottomUp);
+///
+/// Threads are Engine policy: `Engine::Options` is the only place a query's
+/// pool size and search lanes are set.
 
 #include "dccs/bottom_up.h"
 #include "dccs/exact.h"
@@ -52,7 +57,8 @@
 namespace mlcore {
 
 /// Dispatches to the requested DCCS algorithm (kAuto applies the paper's
-/// recommendation rule) through a temporary single-query `Engine`.
+/// recommendation rule) through a temporary single-query, sequential
+/// `Engine`.
 ///
 /// Invalid parameters — including an out-of-enum `algorithm` value — abort
 /// with the engine's validation message rather than returning a silently
@@ -62,12 +68,8 @@ inline DccsResult SolveDccs(const MultiLayerGraph& graph,
                             const DccsParams& params,
                             DccsAlgorithm algorithm) {
   // query_workers = 0: the single Run executes on this thread via the
-  // waiter-donation path, so the one-shot wrapper spawns no scheduler
-  // thread.
-  Engine engine(&graph,
-                Engine::Options{.num_threads = params.num_threads,
-                                .query_workers = 0,
-                                .search_threads = params.search_threads});
+  // waiter-donation path, so the one-shot wrapper spawns no thread at all.
+  Engine engine(&graph, Engine::Options{.query_workers = 0});
   Expected<DccsResult> response = engine.Run(DccsRequest{params, algorithm});
   // NOLINT(mlcore-release-check): documented one-shot contract — the
   // legacy wrapper aborts on bad input; servers use Engine::Run instead.

@@ -72,9 +72,9 @@ struct DccsExecution {
   /// `search_threads`). Called at most once per worker id, must be
   /// thread-safe, and the returned solvers must stay valid for the duration
   /// of the call. When empty, the algorithms construct their own per-lane
-  /// solvers. Lane 0 is the calling (driver) thread and always uses
-  /// `solver`, never this provider.
-  std::function<DccSolver*(int worker)> worker_solver;
+  /// solvers. Lane 0 is the calling (driver) thread: it uses `solver` when
+  /// set and asks this provider only otherwise (dccs/search_lanes.h).
+  std::function<DccSolver*(int worker)> worker_solver = nullptr;
 
   /// Worker lanes for the BU/TD search phase (DESIGN.md §10): the search
   /// spins up a TaskGroup of `search_threads` lanes (driver included) and

@@ -2,27 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 #include <optional>
 
 #include "core/dcc.h"
 #include "core/fds.h"
 #include "dccs/preprocess.h"
+#include "dccs/search_lanes.h"
 #include "obs/span.h"
 #include "util/bitset.h"
 #include "util/thread_pool.h"
 #include "util/timing.h"
 
 namespace mlcore {
-
-DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params) {
-  // One pool serves both phases: per-layer d-cores in preprocessing and the
-  // C(l, s) candidate evaluations.
-  ThreadPool pool(params.num_threads);
-  DccsExecution exec;
-  exec.pool = &pool;
-  return GreedyDccs(graph, params, exec);
-}
 
 DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
                       const DccsExecution& exec) {
@@ -82,24 +73,19 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
                             subsets.push_back(layers);
                           });
 
-  // Per-worker arenas: one solver plus reusable scope/core buffers per pool
-  // lane, so the candidate loop performs no steady-state allocation. Each
-  // candidate writes only its own subset-indexed slot, which keeps the
-  // output independent of how the pool schedules items across lanes. The
-  // lane solvers come from `exec.worker_solver` when a host provides them
-  // (the Engine's cross-query arenas), else lane 0 borrows `exec.solver`
-  // and the remaining lanes build their own lazily — lanes that never claim
-  // an item never pay the solver's O(n) scratch.
+  // Per-lane arenas (dccs/search_lanes.h): one solver plus reusable
+  // scope/core buffers per pool lane, so the candidate loop performs no
+  // steady-state allocation. Each candidate writes only its own
+  // subset-indexed slot, which keeps the output independent of how the
+  // pool schedules items across lanes.
   std::vector<Candidate> slots(subsets.size());
-  struct WorkerArena {
-    std::unique_ptr<DccSolver> owned_solver;
-    DccSolver* solver = nullptr;
+  struct Scratch {
     VertexSet scope;
     VertexSet tmp;
     VertexSet core;
   };
-  const int num_lanes = pool != nullptr ? pool->num_threads() : 1;
-  std::vector<WorkerArena> arenas(static_cast<size_t>(num_lanes));
+  LaneArenas<Scratch> arenas(graph, exec,
+                             pool != nullptr ? pool->num_threads() : 1);
 
   // Cooperative stop for the candidate phase: checked once per candidate
   // (the "candidate-evaluation boundary"), shared across lanes. A fired
@@ -135,32 +121,23 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
       if (check_stop() != QueryStop::kNone) return;
       evaluated.fetch_add(1, std::memory_order_relaxed);
     }
-    WorkerArena& arena = arenas[static_cast<size_t>(worker)];
-    if (arena.solver == nullptr) {
-      if (exec.worker_solver) {
-        arena.solver = exec.worker_solver(worker);
-      } else if (worker == 0 && exec.solver != nullptr) {
-        arena.solver = exec.solver;
-      } else {
-        arena.owned_solver = std::make_unique<DccSolver>(graph);
-        arena.solver = arena.owned_solver.get();
-      }
-    }
+    LaneArena<Scratch>& arena = arenas[worker];
+    Scratch& scratch = arena.scratch;
     const LayerSet& layers = subsets[static_cast<size_t>(i)];
     const VertexSet& first =
         preprocess.layer_cores[static_cast<size_t>(layers[0])];
-    arena.scope.assign(first.begin(), first.end());
-    for (size_t j = 1; j < layers.size() && !arena.scope.empty(); ++j) {
+    scratch.scope.assign(first.begin(), first.end());
+    for (size_t j = 1; j < layers.size() && !scratch.scope.empty(); ++j) {
       IntersectSortedInto(
-          arena.scope,
+          scratch.scope,
           preprocess.layer_cores[static_cast<size_t>(layers[j])],
-          &arena.tmp);
-      std::swap(arena.scope, arena.tmp);
+          &scratch.tmp);
+      std::swap(scratch.scope, scratch.tmp);
     }
-    arena.solver->Compute(layers, params.d, arena.scope, &arena.core,
+    arena.solver->Compute(layers, params.d, scratch.scope, &scratch.core,
                           params.dcc_engine);
-    if (!arena.core.empty()) {
-      slots[static_cast<size_t>(i)] = Candidate{layers, arena.core};
+    if (!scratch.core.empty()) {
+      slots[static_cast<size_t>(i)] = Candidate{layers, scratch.core};
     }
   };
   if (pool != nullptr) {

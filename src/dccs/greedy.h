@@ -21,14 +21,13 @@ inline constexpr int64_t kMaxGreedySubsets = int64_t{1} << 26;
 /// algorithms exploit the preprocessing methods"), the §IV-C vertex-deletion
 /// preprocessing is applied before candidate generation when
 /// `params.vertex_deletion` is set.
-DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params);
-
-/// Execution-injecting form: reuses whatever cached state `exec` provides
-/// (see dccs/execution.h). GD-DCCS uses `preprocess`, `pool`, `solver` and
-/// `worker_solver`; it has no InitTopK stage, so `seeds`/`index` are
-/// ignored.
+///
+/// Reuses whatever cached state `exec` provides (see dccs/execution.h).
+/// GD-DCCS uses `preprocess`, `pool`, `solver` and `worker_solver`; it has
+/// no InitTopK stage, so `seeds`/`index` are ignored. The default execution
+/// runs self-contained and sequentially.
 DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
-                      const DccsExecution& exec);
+                      const DccsExecution& exec = {});
 
 }  // namespace mlcore
 

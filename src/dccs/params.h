@@ -24,27 +24,6 @@ struct DccsParams {
   /// Engine for the dCC peeling procedure (Appendix B).
   DccEngine dcc_engine = DccEngine::kQueue;
 
-  /// Worker threads for the shared thread pool: GD-DCCS candidate
-  /// generation (the C(l, s) dCC evaluations are embarrassingly parallel)
-  /// and the per-layer d-core loop of preprocessing in all three
-  /// algorithms. 1 = sequential. Results are bit-identical for any thread
-  /// count (see DESIGN.md §4); the BU/TD *searches* remain sequential
-  /// through the shared top-k state.
-  int num_threads = 1;
-
-  /// Worker lanes for the BU/TD *search phase itself* (DESIGN.md §10):
-  /// child d-CC evaluations are farmed out speculatively to a work-stealing
-  /// task group while a sequential commit driver replays every pruning and
-  /// top-k decision in the exact sequential order, so results — cores,
-  /// cover, and all pre-existing SearchStats counters — are bit-identical
-  /// for any value. 1 (the default) runs the historical sequential search.
-  /// Honoured by the one-shot free functions and mapped to
-  /// `Engine::Options::search_threads` by `SolveDccs`; an Engine ignores
-  /// this field just as it ignores `num_threads` (threading is engine
-  /// policy, see service/engine.h). GD-DCCS ignores it (its candidate loop
-  /// already parallelises over `num_threads`).
-  int search_threads = 1;
-
   /// Wall-clock budget for the search phase, in seconds (0 = unlimited).
   /// All three algorithms honour it: BU-DCCS and TD-DCCS return their
   /// best-so-far result set when the budget expires ("anytime" behaviour;
@@ -93,7 +72,7 @@ struct SearchStats {
   /// dCC evaluations performed speculatively by the parallel search's
   /// worker lanes whose results the commit driver never consumed — work
   /// wasted to a bound that tightened after launch, or to a stop request.
-  /// The ONLY thread-count-dependent counter: 0 when search_threads == 1,
+  /// The ONLY thread-count-dependent counter: 0 on one search lane,
   /// and excluded from candidates_generated (which counts committed
   /// evaluations only and stays bit-identical at any thread count). See
   /// DESIGN.md §10.

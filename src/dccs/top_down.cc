@@ -1,11 +1,9 @@
 #include "dccs/top_down.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -13,23 +11,16 @@
 #include "dccs/concurrent_topk.h"
 #include "dccs/cover.h"
 #include "dccs/preprocess.h"
+#include "dccs/search_lanes.h"
 #include "dccs/vertex_index.h"
 #include "obs/span.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/task_group.h"
-#include "util/thread_pool.h"
 #include "util/timing.h"
 
 namespace mlcore {
 
 namespace {
-
-// Slot lifecycle shared with the bottom-up search; see DESIGN.md §10.
-constexpr uint8_t kSlotPending = 0;
-constexpr uint8_t kSlotRunning = 1;
-constexpr uint8_t kSlotDone = 2;
-constexpr uint8_t kSlotCancelled = 3;
 
 // Largest position missing from sorted `positions`, or -1 if none below
 // l. l ≤ 64 (validated at entry), so a word-sized mask replaces the Bitset
@@ -53,105 +44,24 @@ void StageScope(const VertexLevelIndex& index, const VertexSet& potential,
   }
 }
 
-/// Per-lane RefineU/RefineC machinery of TD-Gen (paper Figs 9/10) with its
-/// scratch arenas. The parallel search materialises lattice children on
-/// worker lanes concurrently; each lane owns one refiner (and one solver),
-/// so the hot-path buffers below never need locks. Refinement is a pure
-/// function of (parent potential, child layer set) — independent of the
-/// shared top-k state — which is what makes the child materialisations
-/// safe to run out of order (DESIGN.md §10).
-class TdRefiner {
- public:
-  TdRefiner(const MultiLayerGraph& graph, const DccsParams& params,
-            const PreprocessResult& preprocess,
-            const std::vector<LayerId>& order, const VertexLevelIndex& index,
-            DccSolver& solver)
-      : graph_(graph),
-        params_(params),
-        preprocess_(preprocess),
-        order_(order),
-        index_(index),
-        solver_(solver) {}
-
-  DccSolver& solver() { return solver_; }
-
-  // RefineU (Fig 9): shrinks the parent's potential set to U^d_{L'}.
-  // Refinement Method 2 filters by support over the Class-2 layers against
-  // the preprocessed per-layer d-cores (static), then Method 1 peels to
-  // d-density on the Class-1 layers; since the Method-2 counts never change
-  // during peeling, one pass of each reaches the paper's fixpoint.
-  void RefineU(const VertexSet& parent_u, const LayerSet& positions,
-               VertexSet* out) {
-    const int max_comp = MaxComplement(graph_.NumLayers(), positions);
-    class1_.clear();
-    class2_.clear();
-    for (LayerId p : positions) {
-      (p < max_comp ? class1_ : class2_).push_back(p);
-    }
-    const int need =
-        params_.s - static_cast<int>(class1_.size());  // s − |M_{L'}|
-
-    VertexSet& filtered = class1_.empty() ? *out : filter_buf_;
-    filtered.clear();
-    filtered.reserve(parent_u.size());
-    for (VertexId v : parent_u) {
-      int count = 0;
-      if (need > 0) {
-        for (LayerId p : class2_) {
-          if (CoreBitsAtPosition(p).Test(static_cast<size_t>(v))) ++count;
-          if (count >= need) break;
-        }
-        if (count < need) continue;  // Method 2 removal
-      }
-      filtered.push_back(v);
-    }
-    if (class1_.empty()) return;
-    // Method 1: peel to d-density on the must-keep layers.
-    ToLayerIdsInto(class1_, &ids_buf_);
-    solver_.Compute(ids_buf_, params_.d, filtered, out, params_.dcc_engine);
-  }
-
-  // RefineC: computes C^d_{L'}(G) inside U^d_{L'} by peeling the Lemma 8
-  // stage scope with the d-CC kernel, in place of Fig 10's level-by-level
-  // index search (DESIGN.md §3).
-  void RefineC(const VertexSet& potential, const LayerSet& positions,
-               VertexSet* out) {
-    StageScope(index_, potential, static_cast<int>(positions.size()),
-               &scope_buf_);
-    ToLayerIdsInto(positions, &ids_buf_);
-    solver_.Compute(ids_buf_, params_.d, scope_buf_, out, params_.dcc_engine);
-  }
-
- private:
-  const Bitset& CoreBitsAtPosition(int pos) const {
-    return preprocess_.layer_core_bits[static_cast<size_t>(
-        order_[static_cast<size_t>(pos)])];
-  }
-
-  void ToLayerIdsInto(const LayerSet& positions, LayerSet* ids) const {
-    PositionsToLayerIds(order_, positions, ids);
-  }
-
-  const MultiLayerGraph& graph_;
-  const DccsParams& params_;
-  const PreprocessResult& preprocess_;
-  const std::vector<LayerId>& order_;
-  const VertexLevelIndex& index_;
-  DccSolver& solver_;
-
-  // Reusable buffers: the search calls RefineU/RefineC thousands of times
-  // on this lane; these hold their transient layer translations and scope
-  // filters across calls.
-  LayerSet class1_, class2_, ids_buf_;
-  VertexSet filter_buf_, scope_buf_;
+/// Per-lane buffers of RefineU/RefineC: the search materialises lattice
+/// children on its lanes concurrently, and each lane reuses these across
+/// its thousands of refinements without locks.
+struct TdScratch {
+  LayerSet class1, class2, ids;
+  VertexSet filter, scope;
 };
+using Lanes = SearchLanes<TdScratch>;
 
 /// TD-Gen (paper Fig 8), restructured like BottomUpSearch: this class is
 /// the sequential commit driver — it owns every pruning test, Update, rng
 /// draw (Lemma 7) and stats increment, applied in the exact order of the
 /// historical sequential search — while the per-child RefineU/RefineC
-/// materialisations (all of the heavy lifting) run as tasks on a
-/// work-stealing TaskGroup. The sequential search materialises *every*
+/// materialisations (all of the heavy lifting) run as tasks on the search
+/// lanes. Refinement is a pure function of (parent potential, child layer
+/// set) — independent of the shared top-k state — which is what makes the
+/// child materialisations safe to run out of order. The sequential search
+/// materialises *every*
 /// child of a visited node before pruning any of them (Fig 8 lines 2–5),
 /// so unlike the bottom-up case these tasks are not speculative: the only
 /// wasted work is what a mid-node stop request abandons.
@@ -161,33 +71,18 @@ class TopDownSearch {
                 const PreprocessResult& preprocess,
                 const std::vector<LayerId>& order,
                 const VertexLevelIndex& index, const DccsExecution& exec,
-                DccSolver& solver, ConcurrentTopK& result, SearchStats& stats,
-                obs::SpanId lane_parent)
+                LaneArenas<TdScratch>& arenas, ConcurrentTopK& result,
+                SearchStats& stats, obs::SpanId lane_parent)
       : graph_(graph),
         params_(params),
         preprocess_(preprocess),
         order_(order),
         index_(index),
-        control_(exec.control),
-        worker_solver_(exec.worker_solver),
-        solver_(solver),
+        solver_(*arenas[0].solver),
         result_(result),
         stats_(stats),
-        trace_(exec.trace),
-        lane_parent_(lane_parent),
-        rng_(kSeed) {
-    const int threads = std::max(1, exec.search_threads);
-    lane_refiners_.resize(static_cast<size_t>(std::max(1, threads)));
-    owned_solvers_.resize(static_cast<size_t>(std::max(1, threads)));
-    lane_refiners_[0] = std::make_unique<TdRefiner>(
-        graph_, params_, preprocess_, order_, index_, solver_);
-    if (threads > 1) {
-      group_.emplace(threads);
-      if (obs::kEnabled && trace_ != nullptr) {
-        lane_obs_.resize(static_cast<size_t>(threads));
-      }
-    }
-  }
+        rng_(kSeed),
+        lanes_(arenas, params, exec, stats, lane_parent) {}
 
   void Run() {
     const int l = graph_.NumLayers();
@@ -211,20 +106,14 @@ class TopDownSearch {
     Prepare(*root);
     SpawnMaterialise(root);
     Gen(root);
-    if (!lane_obs_.empty()) {
-      // Join the lanes here so the per-lane aggregates are complete before
-      // they are committed as spans (see BottomUpSearch::Run).
-      group_.reset();
-      CommitLaneSpans();
-    }
+    lanes_.Finish();
   }
 
   int64_t committed_calls() const {
     return driver_calls_ + committed_slot_calls_;
   }
   int64_t speculative_calls() const {
-    return executed_slot_calls_.load(std::memory_order_relaxed) -
-           committed_slot_calls_;
+    return lanes_.executed_calls() - committed_slot_calls_;
   }
 
  private:
@@ -232,12 +121,10 @@ class TopDownSearch {
 
   /// One materialised-or-in-flight child (Fig 8 lines 2–5): L' and the
   /// refined U^d_{L'} / C^d_{L'} outputs.
-  struct ChildSlot {
+  struct ChildSlot : LaneSlot {
     LayerSet positions;
     VertexSet potential;
     VertexSet core;
-    int64_t solver_calls = 0;
-    std::atomic<uint8_t> state{kSlotPending};
   };
 
   /// A visited lattice node whose children are being materialised. Shared
@@ -250,16 +137,6 @@ class TopDownSearch {
     std::unique_ptr<ChildSlot[]> slots;
   };
 
-  // Cooperative checkpoint at subset-lattice node boundaries: the anytime
-  // time_budget_seconds plus the injected QueryControl (cancellation /
-  // wall-clock deadline) — see BottomUpSearch::StopRequested.
-  bool StopRequested() {
-    if (stats_.stopped != QueryStop::kNone) return true;
-    return LatchQueryStop(
-        CheckQueryStop(control_, params_.time_budget_seconds, timer_),
-        &stats_);
-  }
-
   LayerSet ToLayerIds(const LayerSet& positions) const {
     LayerSet ids;
     ToLayerIdsInto(positions, &ids);
@@ -271,24 +148,59 @@ class TopDownSearch {
     PositionsToLayerIds(order_, positions, ids);
   }
 
-  TdRefiner& RefinerFor(int worker) {
-    std::unique_ptr<TdRefiner>& lane =
-        lane_refiners_[static_cast<size_t>(worker)];
-    // Each lane is serviced by exactly one thread (lane 0 = the driver),
-    // so lazy init is race-free without synchronisation.
-    if (lane == nullptr) {
-      DccSolver* solver = nullptr;
-      if (worker_solver_) {
-        solver = worker_solver_(worker);
-      } else {
-        owned_solvers_[static_cast<size_t>(worker)] =
-            std::make_unique<DccSolver>(graph_);
-        solver = owned_solvers_[static_cast<size_t>(worker)].get();
-      }
-      lane = std::make_unique<TdRefiner>(graph_, params_, preprocess_, order_,
-                                         index_, *solver);
+  const Bitset& CoreBitsAtPosition(int pos) const {
+    return preprocess_.layer_core_bits[static_cast<size_t>(
+        order_[static_cast<size_t>(pos)])];
+  }
+
+  // RefineU (Fig 9): shrinks the parent's potential set to U^d_{L'}.
+  // Refinement Method 2 filters by support over the Class-2 layers against
+  // the preprocessed per-layer d-cores (static), then Method 1 peels to
+  // d-density on the Class-1 layers; since the Method-2 counts never change
+  // during peeling, one pass of each reaches the paper's fixpoint.
+  void RefineU(DccSolver& solver, TdScratch& scratch,
+               const VertexSet& parent_u, const LayerSet& positions,
+               VertexSet* out) const {
+    const int max_comp = MaxComplement(graph_.NumLayers(), positions);
+    scratch.class1.clear();
+    scratch.class2.clear();
+    for (LayerId p : positions) {
+      (p < max_comp ? scratch.class1 : scratch.class2).push_back(p);
     }
-    return *lane;
+    const int need =
+        params_.s - static_cast<int>(scratch.class1.size());  // s − |M_{L'}|
+
+    VertexSet& filtered = scratch.class1.empty() ? *out : scratch.filter;
+    filtered.clear();
+    filtered.reserve(parent_u.size());
+    for (VertexId v : parent_u) {
+      int count = 0;
+      if (need > 0) {
+        for (LayerId p : scratch.class2) {
+          if (CoreBitsAtPosition(p).Test(static_cast<size_t>(v))) ++count;
+          if (count >= need) break;
+        }
+        if (count < need) continue;  // Method 2 removal
+      }
+      filtered.push_back(v);
+    }
+    if (scratch.class1.empty()) return;
+    // Method 1: peel to d-density on the must-keep layers.
+    ToLayerIdsInto(scratch.class1, &scratch.ids);
+    solver.Compute(scratch.ids, params_.d, filtered, out, params_.dcc_engine);
+  }
+
+  // RefineC: computes C^d_{L'}(G) inside U^d_{L'} by peeling the Lemma 8
+  // stage scope with the d-CC kernel, in place of Fig 10's level-by-level
+  // index search (DESIGN.md §3).
+  void RefineC(DccSolver& solver, TdScratch& scratch,
+               const VertexSet& potential, const LayerSet& positions,
+               VertexSet* out) const {
+    StageScope(index_, potential, static_cast<int>(positions.size()),
+               &scratch.scope);
+    ToLayerIdsInto(positions, &scratch.ids);
+    solver.Compute(scratch.ids, params_.d, scratch.scope, out,
+                   params_.dcc_engine);
   }
 
   /// Computes LR and the child slots (child layer sets only — the refined
@@ -310,59 +222,31 @@ class TopDownSearch {
     }
   }
 
-  void SpawnMaterialise(const std::shared_ptr<Node>& node) {
-    if (!group_) return;
-    for (size_t idx = 0; idx < node->removable.size(); ++idx) {
-      group_->Spawn(0, [this, node, idx](int worker) {
-        RunMaterialise(*node, idx, worker);
-      });
-    }
+  /// The materialisation of child `idx`: its refined U and C.
+  auto MaterialiseFor(Node& node, size_t idx) {
+    return [this, &node, idx](DccSolver& solver, TdScratch& scratch) {
+      ChildSlot& slot = node.slots[idx];
+      RefineU(solver, scratch, *node.potential, slot.positions,
+              &slot.potential);
+      RefineC(solver, scratch, slot.potential, slot.positions, &slot.core);
+    };
   }
 
-  void RunMaterialise(Node& node, size_t idx, int worker) {
-    ChildSlot& slot = node.slots[idx];
-    uint8_t expected = kSlotPending;
-    if (!slot.state.compare_exchange_strong(expected, kSlotRunning,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      return;
+  void SpawnMaterialise(const std::shared_ptr<Node>& node) {
+    if (!lanes_.parallel()) return;
+    for (size_t idx = 0; idx < node->removable.size(); ++idx) {
+      lanes_.Spawn(node, node->slots[idx], MaterialiseFor(*node, idx));
     }
-    TdRefiner& refiner = RefinerFor(worker);
-    const int64_t before = refiner.solver().num_calls();
-    if (LaneObs* lane = LaneFor(worker)) {
-      WallTimer busy;
-      ThreadCpuTimer cpu;
-      refiner.RefineU(*node.potential, slot.positions, &slot.potential);
-      refiner.RefineC(slot.potential, slot.positions, &slot.core);
-      lane->busy_seconds += busy.Seconds();
-      const double cpu_seconds = cpu.Seconds();
-      if (cpu_seconds > 0) lane->cpu_seconds += cpu_seconds;
-      ++lane->evals;
-    } else {
-      refiner.RefineU(*node.potential, slot.positions, &slot.potential);
-      refiner.RefineC(slot.potential, slot.positions, &slot.core);
-    }
-    slot.solver_calls = refiner.solver().num_calls() - before;
-    executed_slot_calls_.fetch_add(slot.solver_calls,
-                                   std::memory_order_relaxed);
-    slot.state.store(kSlotDone, std::memory_order_release);
   }
 
   ChildSlot& WaitSlot(Node& node, size_t idx) {
-    ChildSlot& slot = node.slots[idx];
-    RunMaterialise(node, idx, 0);
-    while (slot.state.load(std::memory_order_acquire) != kSlotDone) {
-      if (!group_ || !group_->TryRunOne(0)) std::this_thread::yield();
-    }
-    return slot;
+    lanes_.Wait(node.slots[idx], MaterialiseFor(node, idx));
+    return node.slots[idx];
   }
 
   void CancelPending(Node& node) {
     for (size_t idx = 0; idx < node.removable.size(); ++idx) {
-      uint8_t expected = kSlotPending;
-      node.slots[idx].state.compare_exchange_strong(
-          expected, kSlotCancelled, std::memory_order_acq_rel,
-          std::memory_order_acquire);
+      Lanes::Cancel(node.slots[idx]);
     }
   }
 
@@ -388,7 +272,7 @@ class TopDownSearch {
     // Lines 2–5: materialise every child's U and C up front — committed in
     // removable order; the refinement work itself runs on the task group.
     for (size_t idx = 0; idx < n; ++idx) {
-      if (StopRequested()) {
+      if (lanes_.StopRequested()) {
         CancelPending(*node);
         return;
       }
@@ -400,7 +284,7 @@ class TopDownSearch {
     if (!result_.full()) {
       // Cases 1–2 (lines 6–12).
       for (size_t idx = 0; idx < n; ++idx) {
-        if (StopRequested()) return;
+        if (lanes_.StopRequested()) return;
         ChildSlot& slot = node->slots[idx];
         if (depth - 1 == params_.s) {
           ToLayerIdsInto(slot.positions, &ids_buf_);
@@ -424,7 +308,7 @@ class TopDownSearch {
                               node->slots[b].potential.size();
                      });
     for (size_t rank = 0; rank < n; ++rank) {
-      if (StopRequested()) return;
+      if (lanes_.StopRequested()) return;
       ChildSlot& slot = node->slots[by_potential[rank]];
       if (result_.BelowOrderThreshold(
               static_cast<int64_t>(slot.potential.size()))) {
@@ -494,74 +378,28 @@ class TopDownSearch {
     return true;
   }
 
-  /// Per-lane busy-time aggregates, committed as "search.lane" spans after
-  /// the group joins (see BottomUpSearch::LaneObs).
-  struct alignas(64) LaneObs {
-    double busy_seconds = 0;
-    double cpu_seconds = 0;
-    int64_t evals = 0;
-  };
-
-  LaneObs* LaneFor(int worker) {
-    return lane_obs_.empty() ? nullptr
-                             : &lane_obs_[static_cast<size_t>(worker)];
-  }
-
-  void CommitLaneSpans() {
-    for (const LaneObs& lane : lane_obs_) {
-      if (lane.evals == 0) continue;
-      trace_->Add("search.lane", lane_parent_, trace_->AgeMs(),
-                  lane.busy_seconds * 1e3,
-                  lane.cpu_seconds > 0 ? lane.cpu_seconds * 1e3 : -1);
-    }
-  }
-
   const MultiLayerGraph& graph_;
   const DccsParams& params_;
   const PreprocessResult& preprocess_;
   const std::vector<LayerId>& order_;
   const VertexLevelIndex& index_;
-  const QueryControl* control_;
-  const std::function<DccSolver*(int worker)> worker_solver_;
-  DccSolver& solver_;
+  DccSolver& solver_;  // lane 0's: the driver's root core and shortcuts
   ConcurrentTopK& result_;
   SearchStats& stats_;
-  obs::Trace* trace_;
-  const obs::SpanId lane_parent_;
-  std::vector<LaneObs> lane_obs_;
   Rng rng_;
-  WallTimer timer_;
 
   int64_t driver_calls_ = 0;           // root core + Lemma 7 shortcuts
   int64_t committed_slot_calls_ = 0;   // materialisations the driver used
-  std::atomic<int64_t> executed_slot_calls_{0};
 
   // Driver-side buffers for Update translations and the shortcut.
   LayerSet ids_buf_;
   VertexSet scope_buf_, core_buf_;
 
-  // Lane 0 wraps solver_; other lanes resolve through worker_solver_ or an
-  // owned fallback solver. Each lane single-threaded by construction.
-  std::vector<std::unique_ptr<TdRefiner>> lane_refiners_;
-  std::vector<std::unique_ptr<DccSolver>> owned_solvers_;
-
-  // Last member: destroyed first, so in-flight task closures finish before
-  // the state they reference goes away.
-  std::optional<TaskGroup> group_;
+  // Last member: task closures reference this search and its nodes.
+  Lanes lanes_;
 };
 
 }  // namespace
-
-DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params) {
-  // Per-layer d-cores of preprocessing fan out over a pool scoped to this
-  // call; the search phase parallelises over params.search_threads lanes
-  // of its own (DESIGN.md §10).
-  ThreadPool pool(params.num_threads);
-  DccsExecution exec;
-  exec.pool = &pool;
-  exec.search_threads = params.search_threads;
-  return TopDownDccs(graph, params, exec);
-}
 
 DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
                        const DccsExecution& exec) {
@@ -600,9 +438,8 @@ DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
 
   obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
   const WallTimer& search_timer = search_span.timer();
-  std::optional<DccSolver> local_solver;
-  if (exec.solver == nullptr) local_solver.emplace(graph);
-  DccSolver& solver = exec.solver != nullptr ? *exec.solver : *local_solver;
+  LaneArenas<TdScratch> arenas(graph, exec, exec.search_threads);
+  DccSolver& solver = *arenas[0].solver;
 
   CoverageIndex seeded(params.k);
   int64_t seed_calls = 0;
@@ -637,7 +474,7 @@ DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
       exec.index != nullptr ? *exec.index : *local_index;
 
   ConcurrentTopK top_k(std::move(seeded));
-  TopDownSearch search(graph, params, preprocess, order, index, exec, solver,
+  TopDownSearch search(graph, params, preprocess, order, index, exec, arenas,
                        top_k, result.stats, search_span.id());
   search.Run();
   search_span.End();

@@ -19,15 +19,13 @@ namespace mlcore {
 /// Designed for s ≥ l/2 (the paper restricts §V to that regime); the
 /// implementation accepts any s but the search degenerates for small s.
 ///
-/// One-shot form: self-contained, preprocesses and builds the §V-C vertex
-/// index from scratch (prefer `mlcore::Engine` for repeated queries).
-DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params);
-
-/// Execution-injecting form: reuses whatever cached state `exec` provides
-/// (see dccs/execution.h); `exec.index`, when set, must have been built
-/// over `exec.preprocess->active` with this `d`.
+/// Reuses whatever cached state `exec` provides (see dccs/execution.h); the
+/// default execution is self-contained and sequential, preprocessing and
+/// building the §V-C vertex index from scratch (prefer `mlcore::Engine` for
+/// repeated queries). `exec.index`, when set, must have been built over
+/// `exec.preprocess->active` with this `d`.
 DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
-                       const DccsExecution& exec);
+                       const DccsExecution& exec = {});
 
 }  // namespace mlcore
 

@@ -12,9 +12,7 @@ VertexLevelIndex::VertexLevelIndex(const MultiLayerGraph& graph, int d,
                                    const VertexSet& active) {
   const auto n = static_cast<size_t>(graph.NumVertices());
   const auto l = static_cast<size_t>(graph.NumLayers());
-  level_.assign(n, -1);
   stage_.assign(n, -1);
-  label_.assign(n, {});
 
   // Initial per-layer d-cores within `active`, with degrees maintained
   // inside the current core for decremental updates.
@@ -78,23 +76,12 @@ VertexLevelIndex::VertexLevelIndex(const MultiLayerGraph& graph, int d,
       if (batch.empty()) break;
       alive_list = std::move(survivors);
 
-      const int batch_level = static_cast<int>(levels_.size());
       for (VertexId v : batch) {
-        // Record L(v) against the core state at batch start.
-        LayerSet label;
-        for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
-          if (core[static_cast<size_t>(layer)].Test(static_cast<size_t>(v))) {
-            label.push_back(layer);
-          }
-        }
-        label_[static_cast<size_t>(v)] = std::move(label);
-        level_[static_cast<size_t>(v)] = batch_level;
         stage_[static_cast<size_t>(v)] = h;
         alive[static_cast<size_t>(v)] = 0;
       }
-      levels_.push_back(std::move(batch));
       // Cascade the removals through every core the batch touched.
-      for (VertexId v : levels_.back()) {
+      for (VertexId v : batch) {
         for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
           remove_from_core(v, layer);
         }

@@ -273,21 +273,14 @@ class Engine::WorkerSolvers {
   std::vector<std::unique_ptr<DccSolver>> held_ MLCORE_GUARDED_BY(mu_);
 };
 
-Engine::Engine(MultiLayerGraph graph, Options options)
-    : Engine(std::make_shared<const MultiLayerGraph>(std::move(graph)),
-             options) {}
-
 Engine::Engine(const MultiLayerGraph* graph, Options options)
-    : Engine(std::shared_ptr<const MultiLayerGraph>(
-                 graph, [](const MultiLayerGraph*) {}),
+    : Engine(std::make_shared<GraphStore>(std::shared_ptr<const MultiLayerGraph>(
+                 graph, [](const MultiLayerGraph*) {})),
              options) {
   // NOLINT(mlcore-release-check): constructor contract — a null borrowed
   // graph is unrecoverable API misuse, not a request-path condition.
   MLCORE_CHECK(graph != nullptr);
 }
-
-Engine::Engine(std::shared_ptr<const MultiLayerGraph> graph, Options options)
-    : Engine(std::make_shared<GraphStore>(std::move(graph)), options) {}
 
 Engine::Engine(std::shared_ptr<GraphStore> store, Options options)
     : store_(std::move(store)),
@@ -347,15 +340,6 @@ Engine::~Engine() {
     sub->cv.NotifyAll();
   }
 }
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-const MultiLayerGraph& Engine::graph() const {
-  // NOLINT(mlcore-snapshot-bypass): deprecated passthrough; both ends are
-  // marked [[deprecated]] and every internal path pins snapshot().
-  return store_->current_graph();
-}
-#pragma GCC diagnostic pop
 
 DccsAlgorithm Engine::ResolvedAlgorithm(const DccsRequest& request) const {
   if (request.algorithm != DccsAlgorithm::kAuto) return request.algorithm;

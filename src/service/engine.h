@@ -252,8 +252,8 @@ struct SubscriptionOptions {
 /// by latest-epoch-wins coalescing.
 ///
 /// Dynamic graphs (DESIGN.md §8): every engine hosts a `GraphStore` —
-/// the graph-owning constructors wrap their graph in a private store, and
-/// the store-sharing constructor serves a caller-managed evolving graph.
+/// the borrowing constructor wraps its graph in a private store, and the
+/// store constructor serves a caller-managed (possibly evolving) graph.
 /// `ApplyUpdate` publishes a new epoch; every query pins the snapshot
 /// current at its *submission* and computes against it, so in-flight and
 /// queued queries are never disturbed by later updates
@@ -269,9 +269,7 @@ class Engine {
   struct Options {
     /// Total parallelism of the shared pool (ThreadPool semantics: 1 means
     /// "calling thread only"). Batch queries and the parallel stages of
-    /// single queries fan out over this pool. Note: unlike the one-shot
-    /// free functions, the Engine ignores `DccsParams::num_threads` — the
-    /// engine owns threading policy.
+    /// single queries fan out over this pool.
     int num_threads = 1;
     /// Maximum retained (d, s, vertex_deletion) preprocessing entries and
     /// maximum retained base-core entries; least recently used entries are
@@ -297,40 +295,27 @@ class Engine {
     /// machine: a query borrows whatever is free at its search phase and
     /// returns it when done — under contention searches degrade toward
     /// sequential, never queue. Applies to Run/Submit/RunBatch/Subscribe
-    /// alike; the Engine ignores `DccsParams::search_threads` just as it
-    /// ignores `num_threads` (threading is engine policy).
+    /// alike.
     int search_threads = 1;
   };
 
-  /// Owning constructors: the engine holds the (immutable) graph.
-  explicit Engine(MultiLayerGraph graph) : Engine(std::move(graph), Options{}) {}
-  Engine(MultiLayerGraph graph, Options options);
-  explicit Engine(std::shared_ptr<const MultiLayerGraph> graph)
-      : Engine(std::move(graph), Options{}) {}
-  Engine(std::shared_ptr<const MultiLayerGraph> graph, Options options);
-  /// Borrowing constructors: `*graph` must outlive the engine. This is the
-  /// form the one-shot `SolveDccs` wrapper uses.
-  explicit Engine(const MultiLayerGraph* graph) : Engine(graph, Options{}) {}
-  Engine(const MultiLayerGraph* graph, Options options);
-  /// Updatable-graph constructors: the engine serves whatever epoch
-  /// `store` currently publishes. The store may be shared — with other
-  /// engines, or with a writer calling `GraphStore::ApplyUpdate` directly
-  /// (`Engine::ApplyUpdate` is a forwarding convenience).
+  /// Serves whatever epoch `store` currently publishes. The store may be
+  /// shared — with other engines, or with a writer calling
+  /// `GraphStore::ApplyUpdate` directly (`Engine::ApplyUpdate` is a
+  /// forwarding convenience). To hand an engine its own graph, wrap it:
+  /// `Engine(std::make_shared<GraphStore>(std::move(graph)))`.
   explicit Engine(std::shared_ptr<GraphStore> store)
       : Engine(std::move(store), Options{}) {}
   Engine(std::shared_ptr<GraphStore> store, Options options);
+  /// Borrowing form: `*graph` must outlive the engine (the one-shot
+  /// `SolveDccs` wrapper and most tests use it).
+  explicit Engine(const MultiLayerGraph* graph) : Engine(graph, Options{}) {}
+  Engine(const MultiLayerGraph* graph, Options options);
 
   ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  /// Deprecated: the graph of the *current* snapshot. The reference is
-  /// only valid until the next successful ApplyUpdate retires that
-  /// snapshot — hold `store()->snapshot()` instead.
-  [[deprecated(
-      "valid only until the next ApplyUpdate; hold store()->snapshot() "
-      "instead")]]
-  const MultiLayerGraph& graph() const;
   const std::shared_ptr<GraphStore>& store() const { return store_; }
   const Options& options() const { return options_; }
 

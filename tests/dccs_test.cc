@@ -212,8 +212,8 @@ void ExpectTopDownCoresExact(const MultiLayerGraph& graph, DccsParams params,
   for (DccEngine engine : {DccEngine::kQueue, DccEngine::kBins}) {
     for (int lanes : {1, 8}) {
       params.dcc_engine = engine;
-      params.search_threads = lanes;
-      DccsResult result = TopDownDccs(graph, params);
+      DccsResult result =
+          TopDownDccs(graph, params, DccsExecution{.search_threads = lanes});
       ASSERT_FALSE(result.cores.empty()) << label;
       for (const auto& core : result.cores) {
         EXPECT_EQ(core.vertices, CoherentCore(graph, core.layers, params.d))

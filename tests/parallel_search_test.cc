@@ -90,27 +90,36 @@ const std::vector<int> kThreadSweep = {1, 2, 4, 8, 16};
 
 // --- Free-function thread invariance --------------------------------------
 
+// One free-function run of a lattice search on `lanes` search lanes.
+DccsResult RunOnLanes(const MultiLayerGraph& graph, const DccsParams& params,
+                      DccsAlgorithm algorithm, int lanes) {
+  const DccsExecution exec{.search_threads = lanes};
+  return algorithm == DccsAlgorithm::kBottomUp
+             ? BottomUpDccs(graph, params, exec)
+             : TopDownDccs(graph, params, exec);
+}
+
 class ParallelSearchTest
     : public ::testing::TestWithParam<DccsAlgorithm> {};
 
 TEST_P(ParallelSearchTest, FreeFunctionResultsThreadInvariant) {
   const DccsAlgorithm algorithm = GetParam();
   MultiLayerGraph graph = SearchGraph(42);
-  DccsParams params = SearchParams(algorithm);
+  const DccsParams params = SearchParams(algorithm);
 
-  params.search_threads = 1;
-  const DccsResult sequential = SolveDccs(graph, params, algorithm);
+  const DccsResult sequential = RunOnLanes(graph, params, algorithm, 1);
   ASSERT_FALSE(sequential.cores.empty());
   EXPECT_GT(sequential.stats.nodes_visited, 20);
   EXPECT_EQ(sequential.stats.speculative_evals, 0);
 
   for (int threads : kThreadSweep) {
-    params.search_threads = threads;
-    const DccsResult parallel = SolveDccs(graph, params, algorithm);
+    const DccsResult parallel = RunOnLanes(graph, params, algorithm, threads);
     ExpectBitIdentical(parallel, sequential,
                        AlgorithmName(algorithm) + " @ " +
                            std::to_string(threads) + " threads");
-    if (threads == 1) EXPECT_EQ(parallel.stats.speculative_evals, 0);
+    if (threads == 1) {
+      EXPECT_EQ(parallel.stats.speculative_evals, 0);
+    }
   }
 }
 
@@ -125,10 +134,8 @@ TEST_P(ParallelSearchTest, ThreadInvariantAcrossAblationToggles) {
     if (toggle == 1) params.sort_layers = false;
     if (toggle == 2) params.dcc_engine = DccEngine::kBins;
 
-    params.search_threads = 1;
-    const DccsResult sequential = SolveDccs(graph, params, algorithm);
-    params.search_threads = 8;
-    const DccsResult parallel = SolveDccs(graph, params, algorithm);
+    const DccsResult sequential = RunOnLanes(graph, params, algorithm, 1);
+    const DccsResult parallel = RunOnLanes(graph, params, algorithm, 8);
     ExpectBitIdentical(parallel, sequential,
                        AlgorithmName(algorithm) + " toggle " +
                            std::to_string(toggle));
@@ -266,10 +273,9 @@ TEST(ParallelSearchCancellationTest, TimeBudgetIsHonouredWithWorkerLanes) {
   params.d = 2;
   params.s = 7;
   params.k = 10;
-  params.search_threads = 8;
   params.time_budget_seconds = 0.01;
   const DccsResult result =
-      SolveDccs(graph, params, DccsAlgorithm::kBottomUp);
+      RunOnLanes(graph, params, DccsAlgorithm::kBottomUp, 8);
   if (result.stats.stopped != QueryStop::kNone) {
     EXPECT_EQ(result.stats.stopped, QueryStop::kBudget);
     EXPECT_TRUE(result.stats.budget_exhausted);

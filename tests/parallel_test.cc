@@ -2,6 +2,7 @@
 
 #include "dccs/dccs.h"
 #include "graph/generators.h"
+#include "util/thread_pool.h"
 
 namespace mlcore {
 namespace {
@@ -27,8 +28,9 @@ TEST_P(ParallelGreedyTest, IdenticalToSequential) {
     params.s = s;
     params.k = 6;
     DccsResult sequential = GreedyDccs(graph, params);
-    params.num_threads = GetParam();
-    DccsResult parallel = GreedyDccs(graph, params);
+    ThreadPool pool(GetParam());
+    DccsResult parallel =
+        GreedyDccs(graph, params, DccsExecution{.pool = &pool});
     ASSERT_EQ(parallel.cores.size(), sequential.cores.size()) << "s=" << s;
     for (size_t i = 0; i < parallel.cores.size(); ++i) {
       EXPECT_EQ(parallel.cores[i].layers, sequential.cores[i].layers);
@@ -50,8 +52,8 @@ TEST(ParallelGreedyTest, MoreThreadsThanSubsets) {
   params.s = 3;
   params.k = 2;
   DccsResult sequential = GreedyDccs(graph, params);
-  params.num_threads = 8;
-  DccsResult parallel = GreedyDccs(graph, params);
+  ThreadPool pool(8);
+  DccsResult parallel = GreedyDccs(graph, params, DccsExecution{.pool = &pool});
   EXPECT_EQ(parallel.CoverSize(), sequential.CoverSize());
 }
 

@@ -179,11 +179,18 @@ TEST_P(OracleSweepTest, RandomInstancesMeetBoundsAgainstExact) {
     params.k = static_cast<int>(rng.Uniform(1, 3));
     params.dcc_engine =
         rng.Bernoulli(0.5) ? DccEngine::kQueue : DccEngine::kBins;
-    params.search_threads = rng.Bernoulli(0.5) ? 1 : 4;
+    const int lanes = rng.Bernoulli(0.5) ? 1 : 4;
     std::ostringstream where;
     where << "seed=" << GetParam() << " round=" << round
           << (rmat ? " rmat" : " planted") << " l=" << l << " d=" << params.d
-          << " s=" << params.s << " k=" << params.k;
+          << " s=" << params.s << " k=" << params.k << " lanes=" << lanes;
+    Engine engine(&graph,
+                  Engine::Options{.query_workers = 0, .search_threads = lanes});
+    auto solve = [&engine](const DccsParams& p, DccsAlgorithm algorithm) {
+      Expected<DccsResult> response = engine.Run(DccsRequest{p, algorithm});
+      EXPECT_TRUE(response.ok()) << response.status().message;
+      return response.ok() ? std::move(response).value() : DccsResult{};
+    };
 
     const double opt =
         static_cast<double>(ExactDccs(graph, params).CoverSize());
@@ -192,14 +199,14 @@ TEST_P(OracleSweepTest, RandomInstancesMeetBoundsAgainstExact) {
     for (DccsAlgorithm algorithm :
          {DccsAlgorithm::kGreedy, DccsAlgorithm::kBottomUp,
           DccsAlgorithm::kTopDown}) {
-      DccsResult result = SolveDccs(graph, params, algorithm);
+      DccsResult result = solve(params, algorithm);
       const double cover = static_cast<double>(result.CoverSize());
       const double ratio =
           algorithm == DccsAlgorithm::kGreedy ? 1.0 - 1.0 / 2.718281828 : 0.25;
       EXPECT_GE(cover + 1e-9, ratio * opt)
           << AlgorithmName(algorithm) << " " << where.str();
       for (const DccsResult& run :
-           {result, SolveDccs(graph, all_cores, algorithm)}) {
+           {result, solve(all_cores, algorithm)}) {
         for (const auto& core : run.cores) {
           ASSERT_EQ(static_cast<int>(core.layers.size()), params.s);
           EXPECT_EQ(core.vertices, CoherentCore(graph, core.layers, params.d))

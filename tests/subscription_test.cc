@@ -197,7 +197,7 @@ TEST(SubscriptionTest, RevisionsMatchColdRunsAtEveryEpoch) {
         batches.push_back(std::move(batch));
       }
       auto snap = scratch->snapshot();
-      Engine cold(snap->graph_ptr(),
+      Engine cold(&snap->graph(),
                   Engine::Options{.num_threads = 1, .query_workers = 0});
       std::vector<DccsResult> row;
       for (const DccsRequest& request : requests) {
@@ -284,7 +284,7 @@ TEST(SubscriptionTest, UnchangedEpochEmitsRevisionWithoutRecomputation) {
   // ... and it must equal a cold run against the new epoch's snapshot.
   {
     auto snap = engine.store()->snapshot();
-    Engine cold(snap->graph_ptr(),
+    Engine cold(&snap->graph(),
                 Engine::Options{.num_threads = 1, .query_workers = 0});
     Expected<DccsResult> response = cold.Run(request);
     ASSERT_TRUE(response.ok());
@@ -413,7 +413,7 @@ TEST(SubscriptionTest, ShedEvaluationRunsInlineOnTheDispatcher) {
   EXPECT_GE(engine.scheduler_stats().rejected, 2);
   {
     auto snap = engine.store()->snapshot();
-    Engine cold(snap->graph_ptr(),
+    Engine cold(&snap->graph(),
                 Engine::Options{.num_threads = 1, .query_workers = 0});
     Expected<DccsResult> response =
         cold.Run(MakeRequest(DccsAlgorithm::kBottomUp));
