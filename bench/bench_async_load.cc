@@ -206,7 +206,7 @@ LoadRow RunOpenLoopLoad(mlcore::Engine& engine,
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"rounds", "json"});
   const int rounds =
       static_cast<int>(flags.GetInt("rounds", context.quick ? 3 : 8));
   const std::string json_path = flags.GetString("json", "");

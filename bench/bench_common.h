@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,13 +41,20 @@ inline int& DefaultSearchThreads() {
 ///   --metrics_json=P   dump the process-wide metric aggregate
 ///                      (obs::Registry::Global(), DESIGN.md §12) as JSON on
 ///                      exit; "-" writes to stdout
+///
+/// Flags are strict: `accepted` lists the binary's own flag names, and any
+/// name outside it and the shared ones above prints the usage and exits 1.
 struct BenchContext {
-  explicit BenchContext(const Flags& flags)
+  explicit BenchContext(const Flags& flags,
+                        std::vector<std::string_view> accepted = {})
       : quick(flags.GetBool("quick", false)),
         scale(flags.GetDouble("scale", quick ? 0.25 : 1.0)),
         search_threads(static_cast<int>(
             std::max<int64_t>(1, flags.GetInt("search_threads", 1)))),
         metrics_json(flags.GetString("metrics_json", "")) {
+    accepted.insert(accepted.end(),
+                    {"quick", "scale", "search_threads", "metrics_json"});
+    if (!flags.CheckKnown(accepted)) std::exit(1);
     DefaultSearchThreads() = search_threads;
   }
 

@@ -56,7 +56,7 @@ struct Row {
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"rounds", "json"});
   const int rounds =
       static_cast<int>(flags.GetInt("rounds", context.quick ? 2 : 5));
   const std::string json_path = flags.GetString("json", "");

@@ -12,7 +12,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"bu_budget"});
 
   for (const char* name : {"english", "stack"}) {
     const mlcore::Dataset& dataset = context.Load(name);

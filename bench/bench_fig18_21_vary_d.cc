@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"extended_d"});
 
   // Paper range is d ∈ {2..6} (Fig 13). The synthetic stand-ins plant
   // communities whose internal min-degree floor sits above 6, so the

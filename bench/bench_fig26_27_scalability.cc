@@ -96,7 +96,9 @@ std::string FormatComparisonJson(const mlcore::MultiLayerGraph& graph,
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(
+      flags, {"gen_scale", "gen_edges", "gen_layers", "gen_seed",
+              "format_only", "json"});
 
   // Sweep target: Stack by default, a generated MLG1 graph when any
   // --gen_* flag is present. The generated container round-trips through

@@ -20,7 +20,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"mimag_nodes"});
 
   mlcore::bench::PrintFigureHeader(
       "Fig 29: MiMAG vs BU-DCCS (gamma=0.8, s=l/2, k=10, d'=d+1)",

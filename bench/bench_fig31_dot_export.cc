@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"out"});
   const mlcore::Dataset& author = context.Load("author");
 
   mlcore::bench::PrintFigureHeader(

@@ -41,7 +41,7 @@ struct Curve {
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"repeats", "json"});
   const int repeats =
       static_cast<int>(flags.GetInt("repeats", context.quick ? 1 : 3));
   const std::string json_path =

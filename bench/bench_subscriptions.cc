@@ -111,7 +111,7 @@ mlcore::UpdateBatch EpochBatch(
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"json"});
   const std::string json_path = flags.GetString("json", "");
 
   mlcore::bench::PrintFigureHeader(

@@ -62,7 +62,7 @@ struct LatencyRow {
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
-  mlcore::bench::BenchContext context(flags);
+  mlcore::bench::BenchContext context(flags, {"json"});
   const std::string json_path = flags.GetString("json", "");
 
   mlcore::bench::PrintFigureHeader(

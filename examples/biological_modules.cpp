@@ -15,6 +15,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"d", "k", "s"})) return 1;
   mlcore::DccsRequest request;  // algorithm defaults to kAuto
   mlcore::DccsParams& params = request.params;
   params.d = static_cast<int>(flags.GetInt("d", 3));

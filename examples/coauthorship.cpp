@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"compare_mimag", "d", "k", "s"})) return 1;
   mlcore::Dataset author = mlcore::MakeDataset("author");
 
   mlcore::DccsParams params;

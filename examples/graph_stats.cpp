@@ -16,6 +16,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"d", "dataset", "graph", "scale"})) return 1;
   const int d = static_cast<int>(flags.GetInt("d", 4));
 
   mlcore::MultiLayerGraph graph;

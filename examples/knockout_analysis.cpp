@@ -17,6 +17,7 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"d", "knockouts"})) return 1;
   const int d = static_cast<int>(flags.GetInt("d", 3));
   const int knockouts = static_cast<int>(flags.GetInt("knockouts", 12));
 

@@ -36,6 +36,7 @@ bool LooksLikeMlg(const std::string& path) {
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"in", "out"})) return 1;
   const std::string in = flags.GetString("in", "");
   const std::string out = flags.GetString("out", "");
   if (in.empty() || out.empty()) {

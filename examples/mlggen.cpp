@@ -22,6 +22,10 @@
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"a", "b", "c", "edges", "layers", "out", "overlap",
+                          "scale", "seed", "vertices"})) {
+    return 1;
+  }
 
   const std::string out = flags.GetString("out", "");
   if (out.empty()) {

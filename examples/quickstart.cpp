@@ -60,6 +60,7 @@ void PrintResult(const char* name, const mlcore::DccsResult& result) {
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"d", "k", "s"})) return 1;
   mlcore::DccsRequest request;
   request.params.d = static_cast<int>(flags.GetInt("d", 3));
   request.params.s = static_cast<int>(flags.GetInt("s", 2));

@@ -43,6 +43,7 @@ mlcore::PlantedGraph BuildSnapshotWindow(int32_t entities, int32_t hours,
 
 int main(int argc, char** argv) {
   mlcore::Flags flags(argc, argv);
+  if (!flags.CheckKnown({"d", "entities", "hours", "k", "s"})) return 1;
   const auto hours = static_cast<int32_t>(flags.GetInt("hours", 12));
   mlcore::PlantedGraph window = BuildSnapshotWindow(
       static_cast<int32_t>(flags.GetInt("entities", 2000)), hours,

@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
@@ -45,7 +46,7 @@ bool Flags::GetBool(const std::string& key, bool def) const {
 bool Flags::Has(const std::string& key) const { return values_.count(key) > 0; }
 
 std::vector<std::string> Flags::Unknown(
-    std::initializer_list<std::string_view> accepted) const {
+    const std::vector<std::string_view>& accepted) const {
   std::vector<std::string> unknown;
   for (const auto& [key, value] : values_) {
     if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
@@ -53,6 +54,20 @@ std::vector<std::string> Flags::Unknown(
     }
   }
   return unknown;
+}
+
+bool Flags::CheckKnown(const std::vector<std::string_view>& accepted) const {
+  const std::vector<std::string> unknown = Unknown(accepted);
+  if (unknown.empty()) return true;
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+  }
+  std::fputs("usage: accepted flags are", stderr);
+  for (std::string_view name : accepted) {
+    std::fprintf(stderr, " --%.*s", static_cast<int>(name.size()), name.data());
+  }
+  std::fputs("\n", stderr);
+  return false;
 }
 
 }  // namespace mlcore

@@ -1,7 +1,6 @@
 #ifndef MLCORE_UTIL_FLAGS_H_
 #define MLCORE_UTIL_FLAGS_H_
 
-#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -28,7 +27,13 @@ class Flags {
   /// strict flags passes every name it reads and treats a non-empty result
   /// as a usage error, so a misspelt flag is never silently ignored.
   std::vector<std::string> Unknown(
-      std::initializer_list<std::string_view> accepted) const;
+      const std::vector<std::string_view>& accepted) const;
+
+  /// Strict-flags gate for a binary: true when every parsed name is in
+  /// `accepted`. Otherwise prints each unknown name and a usage line
+  /// listing the accepted flags to stderr and returns false; the binary
+  /// then exits 1.
+  bool CheckKnown(const std::vector<std::string_view>& accepted) const;
 
  private:
   std::map<std::string, std::string> values_;
