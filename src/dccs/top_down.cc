@@ -61,10 +61,10 @@ using Lanes = SearchLanes<TdScratch>;
 /// lanes. Refinement is a pure function of (parent potential, child layer
 /// set) — independent of the shared top-k state — which is what makes the
 /// child materialisations safe to run out of order. The sequential search
-/// materialises *every*
-/// child of a visited node before pruning any of them (Fig 8 lines 2–5),
-/// so unlike the bottom-up case these tasks are not speculative: the only
-/// wasted work is what a mid-node stop request abandons.
+/// materialises *every* child of a visited node before pruning any of them
+/// (Fig 8 lines 2–5), so unlike the bottom-up case these tasks are not
+/// speculative: the only wasted work is what a mid-node stop request
+/// abandons.
 class TopDownSearch {
  public:
   TopDownSearch(const MultiLayerGraph& graph, const DccsParams& params,
