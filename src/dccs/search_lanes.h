@@ -120,6 +120,9 @@ class SearchLanes {
       }
     }
   }
+  // Queued tasks hold `this`.
+  SearchLanes(const SearchLanes&) = delete;
+  SearchLanes& operator=(const SearchLanes&) = delete;
 
   bool parallel() const { return group_.has_value(); }
 

@@ -25,9 +25,9 @@ namespace mlcore {
 /// [0, num_threads()) and the calling thread participates as worker 0.
 class ThreadPool {
  public:
-  /// `num_threads` is the total parallelism (callers usually pass
-  /// DccsParams::num_threads); values < 1 are clamped to 1. The pool spawns
-  /// `num_threads - 1` background workers.
+  /// `num_threads` is the total parallelism (the Engine passes
+  /// Engine::Options::num_threads); values < 1 are clamped to 1. The pool
+  /// spawns `num_threads - 1` background workers.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

@@ -131,6 +131,13 @@ TEST(FlagsTest, UnknownListsNamesOutsideTheAcceptedSet) {
   EXPECT_EQ(flags.Unknown({}).size(), 4u);
 }
 
+TEST(FlagsTest, CheckKnownPassesOnlyWhenEveryNameIsAccepted) {
+  const char* argv[] = {"prog", "--quick", "--threads=4"};
+  Flags flags(3, const_cast<char**>(argv));
+  EXPECT_FALSE(flags.CheckKnown({"quick", "scale"}));
+  EXPECT_TRUE(flags.CheckKnown({"quick", "threads"}));
+}
+
 TEST(TableTest, CsvRoundTrip) {
   Table table({"a", "b"});
   table.AddRow({"1", "2"});
