@@ -136,8 +136,9 @@ int main(int argc, char** argv) {
        {std::pair{"threads", threads},
         std::pair{"search_threads", search_threads}}) {
     if (value < 1 || value > kMaxThreads) {
-      std::fprintf(stderr, "error: --%s=%lld out of range (accepted: 1..%lld)\n",
-                   name, value, kMaxThreads);
+      std::fprintf(stderr,
+                   "error: --%s=%lld out of range (accepted: 1..%lld)\n", name,
+                   value, kMaxThreads);
       std::fputs(kUsage, stderr);
       return 1;
     }

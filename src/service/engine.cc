@@ -274,8 +274,9 @@ class Engine::WorkerSolvers {
 };
 
 Engine::Engine(const MultiLayerGraph* graph, Options options)
-    : Engine(std::make_shared<GraphStore>(std::shared_ptr<const MultiLayerGraph>(
-                 graph, [](const MultiLayerGraph*) {})),
+    : Engine(std::make_shared<GraphStore>(
+                 std::shared_ptr<const MultiLayerGraph>(
+                     graph, [](const MultiLayerGraph*) {})),
              options) {
   // NOLINT(mlcore-release-check): constructor contract — a null borrowed
   // graph is unrecoverable API misuse, not a request-path condition.
