@@ -8,10 +8,10 @@ Four rules over src/:
                    std::recursive_mutex / std::timed_mutex are banned
                    outside the annotated wrapper layer (util/mutex.{h,cc},
                    util/thread_annotations.h). Everything else must use
-                   util::Mutex / util::MutexLock / util::UniqueLock /
-                   util::CondVar so MLCORE_GUARDED_BY contracts stay
-                   machine-checkable. (std::once_flag / std::call_once are
-                   fine — they carry no guarded state.)
+                   util::Mutex / util::MutexLock / util::CondVar so
+                   MLCORE_GUARDED_BY contracts stay machine-checkable.
+                   (std::once_flag / std::call_once are fine — they carry
+                   no guarded state.)
 
   release-check    MLCORE_CHECK / MLCORE_CHECK_MSG (always-abort, also in
                    release) are banned in code reachable from Engine

@@ -462,21 +462,27 @@ QueryHandle Engine::SubmitTask(const DccsRequest& request,
     return QueryHandle(std::move(task), this);
   }
 
+  if (!Admit(task)) {
+    FinishTask(*task,
+               Status::ResourceExhausted(
+                   pending_.shut_down()
+                       ? "engine shutting down; no new queries admitted"
+                       : "pending queue full (" +
+                             std::to_string(pending_.capacity()) +
+                             " queries) with no lower-priority entry to "
+                             "displace"));
+  }
+  return QueryHandle(std::move(task), this);
+}
+
+bool Engine::Admit(const std::shared_ptr<QueryTask>& task) {
   metrics_.sched_submitted->Add(1);
   uint64_t id = 0;
   PriorityTaskQueue::Entry displaced;
-  switch (pending_.TryPush(options.priority, task, &id, &displaced)) {
+  switch (pending_.TryPush(task->priority, task, &id, &displaced)) {
     case PriorityTaskQueue::PushOutcome::kRejected:
       metrics_.sched_rejected->Add(1);
-      FinishTask(*task,
-                 Status::ResourceExhausted(
-                     pending_.shut_down()
-                         ? "engine shutting down; no new queries admitted"
-                         : "pending queue full (" +
-                               std::to_string(pending_.capacity()) +
-                               " queries) with no lower-priority entry to "
-                               "displace"));
-      return QueryHandle(std::move(task), this);
+      return false;
     case PriorityTaskQueue::PushOutcome::kAcceptedDisplacing: {
       metrics_.sched_displaced->Add(1);
       auto victim = std::static_pointer_cast<QueryTask>(displaced.payload);
@@ -493,7 +499,7 @@ QueryHandle Engine::SubmitTask(const DccsRequest& request,
   // A worker may already have popped (and even finished) the task; the
   // stale ticket is harmless — TryRemove on it simply fails.
   task->queue_id.store(id, std::memory_order_release);
-  return QueryHandle(std::move(task), this);
+  return true;
 }
 
 std::vector<QueryHandle> Engine::SubmitBatch(
@@ -529,10 +535,8 @@ Expected<DccsResult> Engine::Run(const DccsRequest& request) {
     // or Submit would have returned kInvalidArgument/kUnsupported.)
     metrics_.sched_executed->Add(1);
     obs::Trace* trace = handle.task_->trace.get();
-    Expected<DccsResult> inline_outcome =
-        RunValidated(request, handle.task_->snapshot,
-                     util::UniqueLock(pool_mu_, util::kTryToLock),
-                     /*control=*/nullptr, trace);
+    Expected<DccsResult> inline_outcome = RunValidated(
+        request, handle.task_->snapshot, /*control=*/nullptr, trace);
     OfferTrace(request, handle.task_->snapshot->epoch(), trace);
     return inline_outcome;
   }
@@ -567,14 +571,10 @@ void Engine::ExecuteTask(const std::shared_ptr<QueryTask>& task) {
                wait_ms);
     metrics_.query_admission_wait_ms->Record(wait_ms);
   }
-  // Use the shared pool if it is free; a busy pool (another query's stage
-  // or a batch) degrades this query's parallel stages to sequential, which
-  // by the DESIGN.md §4 contract cannot change its result. An inactive
-  // control (Run's uncancellable tasks) executes as the null control so
-  // the stages skip checkpoint costs entirely.
+  // An inactive control (Run's uncancellable tasks) executes as the null
+  // control so the stages skip checkpoint costs entirely.
   Expected<DccsResult> outcome =
       RunValidated(task->request, task->snapshot,
-                   util::UniqueLock(pool_mu_, util::kTryToLock),
                    task->control.active() ? &task->control : nullptr, trace);
   // Offer the (now quiescent) trace before FinishTask wakes the waiter:
   // a caller that reads stats_report() right after Wait() returns must
@@ -666,20 +666,16 @@ std::vector<Expected<DccsResult>> Engine::RunBatch(
   // exactly one worker and queries never read each other's output, so the
   // batch obeys the §4 determinism rules; cache misses shared between
   // queries are computed once (per-entry build states) with every waiter
-  // receiving the same bits. Workers get pool = nullptr: ParallelFor is not
-  // reentrant, and sequential inner stages cannot change results. Batch
-  // slots run uncontrolled (control = nullptr), so every slot is a value.
+  // receiving the same bits. A slot's own parallel stages nest into the
+  // same pool. Batch slots run uncontrolled (control = nullptr), so every
+  // slot is a value.
   std::vector<std::optional<Expected<DccsResult>>> slots(n);
-  {
-    util::MutexLock pool_lock(pool_mu_);
-    pool_.ParallelFor(static_cast<int64_t>(n), [&](int /*worker*/,
-                                                   int64_t i) {
-      const auto slot = static_cast<size_t>(i);
-      if (!statuses[slot].ok()) return;
-      slots[slot] = RunValidated(requests[slot], snap, util::UniqueLock(),
-                                 /*control=*/nullptr, /*trace=*/nullptr);
-    });
-  }
+  pool_.ParallelFor(static_cast<int64_t>(n), [&](int /*worker*/, int64_t i) {
+    const auto slot = static_cast<size_t>(i);
+    if (!statuses[slot].ok()) return;
+    slots[slot] = RunValidated(requests[slot], snap, /*control=*/nullptr,
+                               /*trace=*/nullptr);
+  });
 
   // Sequential merge in request order.
   std::vector<Expected<DccsResult>> responses;
@@ -709,11 +705,7 @@ Expected<CommunitySearchResult> Engine::FindCommunity(
   }
   if (request.s > graph.NumLayers()) return CommunitySearchResult{};
 
-  util::UniqueLock pool_lock(pool_mu_, util::kTryToLock);
-  std::shared_ptr<const BaseCoresEntry> base = GetBaseCores(
-      snap, request.d, pool_lock.OwnsLock() ? &pool_ : nullptr);
-  // The greedy layer extension below is sequential; free the pool first.
-  if (pool_lock.OwnsLock()) pool_lock.Unlock();
+  std::shared_ptr<const BaseCoresEntry> base = GetBaseCores(snap, request.d);
   SolverLease solver(this, snap->graph_ptr());
   return SearchCommunityWithCores(graph, base->cores, *solver.get(),
                                   request.query, request.d, request.s);
@@ -855,46 +847,18 @@ void Engine::DispatchSubscription(
     CompleteSubscriptionEval(sub, generation, done);
   };
 
-  metrics_.sched_submitted->Add(1);
-  uint64_t id = 0;
-  PriorityTaskQueue::Entry displaced;
-  switch (pending_.TryPush(sub->priority, task, &id, &displaced)) {
-    case PriorityTaskQueue::PushOutcome::kRejected:
-      // Shed (queue full of equal-or-higher-priority work): run inline on
-      // the dispatcher thread — the dispatcher is its own backpressure,
-      // mirroring Run's never-fail-on-load contract, so a standing query
-      // is never silently starved. The cost is head-of-line blocking:
-      // while this evaluation runs, no other subscription is dispatched
-      // (not even unchanged-skips), bounded by one evaluation per shed —
-      // acceptable because sheds only happen when the engine is already
-      // saturated with equal-or-higher-priority work.
-      metrics_.sched_rejected->Add(1);
-      metrics_.sched_executed->Add(1);
-      {
-        Expected<DccsResult> shed_outcome =
-            RunValidated(task->request, snap,
-                         util::UniqueLock(pool_mu_, util::kTryToLock),
-                         &task->control, task->trace.get());
-        // Offer before FinishTask delivers the revision, as ExecuteTask
-        // does: the subscriber must see this eval in the slow log.
-        OfferTrace(task->request, snap->epoch(), task->trace.get());
-        FinishTask(*task, std::move(shed_outcome));
-      }
-      return;
-    case PriorityTaskQueue::PushOutcome::kAcceptedDisplacing: {
-      metrics_.sched_displaced->Add(1);
-      auto victim = std::static_pointer_cast<QueryTask>(displaced.payload);
-      FinishTask(*victim,
-                 Status::ResourceExhausted(
-                     "displaced from the pending queue by a "
-                     "higher-priority request"));
-      break;
-    }
-    case PriorityTaskQueue::PushOutcome::kAccepted:
-      break;
+  if (!Admit(task)) {
+    // Shed (queue full of equal-or-higher-priority work): run inline on
+    // the dispatcher thread — the dispatcher is its own backpressure,
+    // mirroring Run's never-fail-on-load contract, so a standing query
+    // is never silently starved. The cost is head-of-line blocking:
+    // while this evaluation runs, no other subscription is dispatched
+    // (not even unchanged-skips), bounded by one evaluation per shed —
+    // acceptable because sheds only happen when the engine is already
+    // saturated with equal-or-higher-priority work.
+    ExecuteTask(task);
+    return;
   }
-  metrics_.sched_admitted->Add(1);
-  task->queue_id.store(id, std::memory_order_release);
   if (options_.query_workers == 0) {
     // No dedicated workers: claim the evaluation back and run it here
     // (the same waiter-donation path Wait uses), otherwise it would sit
@@ -1012,8 +976,7 @@ void Engine::FinishRevision(const std::shared_ptr<SubscriptionState>& sub,
 Expected<DccsResult> Engine::RunValidated(
     const DccsRequest& request,
     const std::shared_ptr<const GraphSnapshot>& snap,
-    util::UniqueLock pool_lock, const QueryControl* control,
-    obs::Trace* trace) {
+    const QueryControl* control, obs::Trace* trace) {
   // The root span's stopwatch is the query's total timer in every build (a
   // null-trace or disabled Span still ticks); early returns commit it via
   // the destructor.
@@ -1021,7 +984,6 @@ Expected<DccsResult> Engine::RunValidated(
   const DccsParams& params = request.params;
   const DccsAlgorithm algorithm = ResolvedAlgorithm(request);
   const MultiLayerGraph& graph = snap->graph();
-  ThreadPool* pool = pool_lock.OwnsLock() ? &pool_ : nullptr;
 
   DccsResult result;
   result.epoch = snap->epoch();
@@ -1040,7 +1002,7 @@ Expected<DccsResult> Engine::RunValidated(
   obs::Span acquire_span(trace, "query.preprocess", run_span.id());
   QueryStop stop = QueryStop::kNone;
   std::shared_ptr<QueryEntry> entry = GetQueryEntry(
-      snap, params.d, params.s, params.vertex_deletion, pool, control, &stop);
+      snap, params.d, params.s, params.vertex_deletion, control, &stop);
   if (entry == nullptr) {
     // Stopped before preprocessing published: nothing was cached, nothing
     // can be served. (A deadline this early has no anytime prefix.)
@@ -1049,12 +1011,12 @@ Expected<DccsResult> Engine::RunValidated(
                : Status::DeadlineExceeded(
                      "deadline expired during preprocessing");
   }
-  // Pooled greedy draws all its lane solvers from WorkerSolvers and has no
-  // InitTopK stage, so only the other paths lease a free-list solver.
-  const bool pooled_greedy =
-      algorithm == DccsAlgorithm::kGreedy && pool != nullptr;
+  // GD draws all its lane solvers from WorkerSolvers and has no InitTopK
+  // stage, so only the other paths lease a free-list solver.
   std::optional<SolverLease> solver;
-  if (!pooled_greedy) solver.emplace(this, snap->graph_ptr());
+  if (algorithm != DccsAlgorithm::kGreedy) {
+    solver.emplace(this, snap->graph_ptr());
+  }
   // Checkpoint between preprocessing and the seed/index builds (each of
   // which always publishes a complete artifact once started).
   if (control != nullptr &&
@@ -1076,27 +1038,19 @@ Expected<DccsResult> Engine::RunValidated(
   const double acquire_seconds = acquire_span.wall_seconds();
   acquire_span.End();
 
-  // Preprocessing is behind us; only GD-DCCS's candidate fan-out still
-  // wants workers. Release the pool for everyone else so a long
-  // sequential BU/TD search never blocks other queries' parallel stages.
-  if (algorithm != DccsAlgorithm::kGreedy && pool_lock.OwnsLock()) {
-    pool_lock.Unlock();
-    pool = nullptr;
-  }
-
   DccsExecution exec;
   exec.preprocess = &entry->preprocess;
   exec.seeds = seeds.get();
   exec.seeded_topk = seeded_topk.get();
   exec.index = index;
   exec.solver = solver.has_value() ? solver->get() : nullptr;
-  exec.pool = pool;
+  exec.pool = &pool_;
   exec.control = control;
   exec.trace = trace;
   exec.trace_parent = run_span.id();
   std::optional<WorkerSolvers> worker_solvers;
-  if (pooled_greedy) {
-    worker_solvers.emplace(this, snap->graph_ptr(), pool->num_threads());
+  if (algorithm == DccsAlgorithm::kGreedy) {
+    worker_solvers.emplace(this, snap->graph_ptr(), pool_.num_threads());
     exec.worker_solver = [&ws = *worker_solvers](int worker) {
       return ws.Get(worker);
     };
@@ -1167,8 +1121,7 @@ Expected<DccsResult> Engine::RunValidated(
 }
 
 std::shared_ptr<const Engine::BaseCoresEntry> Engine::GetBaseCores(
-    const std::shared_ptr<const GraphSnapshot>& snap, int d,
-    ThreadPool* pool) {
+    const std::shared_ptr<const GraphSnapshot>& snap, int d) {
   const TrackedCores* tracked = snap->tracked(d);
   // Tracked degrees key on the core-subgraph generation (identical cores
   // whenever it matches — the maintained membership cannot have changed);
@@ -1251,11 +1204,7 @@ std::shared_ptr<const Engine::BaseCoresEntry> Engine::GetBaseCores(
               DCore(graph, static_cast<LayerId>(layer), d);
         }
       };
-      if (pool != nullptr) {
-        pool->ParallelFor(l, compute_layer);
-      } else {
-        for (int64_t layer = 0; layer < l; ++layer) compute_layer(0, layer);
-      }
+      pool_.ParallelFor(l, compute_layer);
       metrics_.base_core_layers_reused->Add(reused);
       metrics_.base_core_layers_recomputed->Add(recomputed);
     }
@@ -1266,8 +1215,7 @@ std::shared_ptr<const Engine::BaseCoresEntry> Engine::GetBaseCores(
 
 std::shared_ptr<Engine::QueryEntry> Engine::GetQueryEntry(
     const std::shared_ptr<const GraphSnapshot>& snap, int d, int s,
-    bool vertex_deletion, ThreadPool* pool, const QueryControl* control,
-    QueryStop* stop) {
+    bool vertex_deletion, const QueryControl* control, QueryStop* stop) {
   // The §IV-C fixpoint (and the index/seeds living inside the entry)
   // depends only on the per-layer d-core-induced subgraphs, so a tracked
   // d keys on the store's core-subgraph generation — updates that never
@@ -1321,8 +1269,8 @@ std::shared_ptr<Engine::QueryEntry> Engine::GetQueryEntry(
   if (build_stop == QueryStop::kNone) {
     // Base cores always publish a complete artifact once started; the
     // fixpoint checkpoints per deletion round.
-    std::shared_ptr<const BaseCoresEntry> base = GetBaseCores(snap, d, pool);
-    built = Preprocess(snap->graph(), d, s, vertex_deletion, pool,
+    std::shared_ptr<const BaseCoresEntry> base = GetBaseCores(snap, d);
+    built = Preprocess(snap->graph(), d, s, vertex_deletion, &pool_,
                        &base->cores, control);
     build_stop = built.stopped;
   }

@@ -214,8 +214,9 @@ struct SubscriptionOptions {
 ///    A repeat query with the same (d, s) skips vertex deletion entirely;
 ///    a query with a cached `d` but new `s` skips the first (full-graph)
 ///    deletion round.
-///  * a shared `util::ThreadPool` for the parallel stages and for
-///    `RunBatch` fan-out;
+///  * one shared `util::ThreadPool` for every query's parallel stages and
+///    for `RunBatch` fan-out — concurrent and nested calls share it, so no
+///    query waits for or skips the pool because another one is using it;
 ///  * a free-list of `DccSolver` arenas, so steady-state queries allocate
 ///    no solver scratch.
 ///
@@ -269,7 +270,9 @@ class Engine {
   struct Options {
     /// Total parallelism of the shared pool (ThreadPool semantics: 1 means
     /// "calling thread only"). Batch queries and the parallel stages of
-    /// single queries fan out over this pool.
+    /// single queries fan out over this pool; concurrent queries use it at
+    /// once, each calling thread working on its own stage while idle pool
+    /// workers help.
     int num_threads = 1;
     /// Maximum retained (d, s, vertex_deletion) preprocessing entries and
     /// maximum retained base-core entries; least recently used entries are
@@ -444,25 +447,20 @@ class Engine {
   class SolverLease;
   class WorkerSolvers;
 
-  /// `pool_lock` either owns pool_mu_ (the query may use the shared pool
-  /// for its parallel stages) or is empty (batch workers; fully
-  /// sequential). The lock is released as soon as the query is done with
-  /// the pool — before the sequential search phase — so a long search
-  /// never blocks other queries' parallel stages. `control` (nullable)
-  /// carries the submission's cancellation token and deadline; a stop
-  /// before the search phase returns kCancelled / kDeadlineExceeded, a
-  /// cancellation mid-search returns kCancelled (partial result
-  /// discarded), and a deadline mid-search returns the anytime prefix.
-  /// `snap` is the snapshot the query was pinned to at submission; every
-  /// graph read and cache key goes through it. `trace` (nullable) receives
-  /// this execution's span tree — a "query.run" root with preprocess /
-  /// search / cover children (DESIGN.md §12) — and must stay alive until
-  /// the call returns, by which point every recording thread has joined.
+  /// `control` (nullable) carries the submission's cancellation token and
+  /// deadline; a stop before the search phase returns kCancelled /
+  /// kDeadlineExceeded, a cancellation mid-search returns kCancelled
+  /// (partial result discarded), and a deadline mid-search returns the
+  /// anytime prefix. `snap` is the snapshot the query was pinned to at
+  /// submission; every graph read and cache key goes through it. `trace`
+  /// (nullable) receives this execution's span tree — a "query.run" root
+  /// with preprocess / search / cover children (DESIGN.md §12) — and must
+  /// stay alive until the call returns, by which point every recording
+  /// thread has joined.
   Expected<DccsResult> RunValidated(
       const DccsRequest& request,
       const std::shared_ptr<const GraphSnapshot>& snap,
-      util::UniqueLock pool_lock, const QueryControl* control,
-      obs::Trace* trace);
+      const QueryControl* control, obs::Trace* trace);
 
   /// Submit with an explicit choice of arming the cancellation control.
   /// `controllable = false` (Run's private path) leaves the task's control
@@ -471,8 +469,13 @@ class Engine {
   /// cost.
   QueryHandle SubmitTask(const DccsRequest& request,
                          const SubmitOptions& options, bool controllable);
+  /// Offers `task` to the pending queue at `task->priority`, counting the
+  /// outcome and resolving a displaced victim. Returns false when the
+  /// queue rejected the task; the caller then decides how to resolve it.
+  bool Admit(const std::shared_ptr<QueryTask>& task);
   /// Runs `task` to its terminal state on the calling thread (a query
-  /// worker, or a waiter that claimed its own task).
+  /// worker, a waiter that claimed its own task, or the subscription
+  /// dispatcher running a shed evaluation).
   void ExecuteTask(const std::shared_ptr<QueryTask>& task);
   /// Publishes the terminal result and wakes waiters.
   static void FinishTask(QueryTask& task, Expected<DccsResult> result);
@@ -519,8 +522,7 @@ class Engine {
   /// are copied from the newest older entry for the same d, and tracked
   /// degrees are served from the store's maintained cores outright.
   std::shared_ptr<const BaseCoresEntry> GetBaseCores(
-      const std::shared_ptr<const GraphSnapshot>& snap, int d,
-      ThreadPool* pool);
+      const std::shared_ptr<const GraphSnapshot>& snap, int d);
   /// Returns the published (generation, d, s, vertex_deletion) entry,
   /// building it if needed — the generation (GraphSnapshot::
   /// core_generation) keys out stale epochs. Returns nullptr with `*stop`
@@ -529,8 +531,7 @@ class Engine {
   /// from scratch) — cache consistency under cancellation, DESIGN.md §7.
   std::shared_ptr<QueryEntry> GetQueryEntry(
       const std::shared_ptr<const GraphSnapshot>& snap, int d, int s,
-      bool vertex_deletion, ThreadPool* pool, const QueryControl* control,
-      QueryStop* stop);
+      bool vertex_deletion, const QueryControl* control, QueryStop* stop);
   /// Seeds for (k, dcc_engine), plus the already-replayed CoverageIndex
   /// prototype the same key (satellite cache of DESIGN.md §10): BU/TD
   /// start from a copy of `*seeded_topk` and skip the per-query replay.
@@ -574,13 +575,9 @@ class Engine {
   std::shared_ptr<GraphStore> store_;
   const Options options_;
 
-  // The shared pool. pool_mu_ serialises batches/parallel stages; a query
-  // that finds it busy simply runs its parallel stages sequentially, which
-  // by the §4 contract cannot change its result. The lock is a
-  // serialisation token only — no member is guarded by it — and its
-  // ownership travels by value (util::UniqueLock) into RunValidated.
+  // The shared pool: batches and every query's parallel stages call it
+  // concurrently (and nested, for batch slots).
   ThreadPool pool_;
-  util::Mutex pool_mu_{util::lock_rank::kEnginePool, "Engine::pool_mu_"};
 
   // Caches. cache_mu_ guards the maps and the LRU clock; per-entry
   // once-flags/mutexes guard the (expensive) payload computations so a

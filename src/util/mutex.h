@@ -37,10 +37,8 @@ namespace util {
 
 // Acquisition order for every long-lived mutex in the repo, outermost
 // first. A thread must acquire strictly increasing ranks. Gaps are left
-// for future subsystems (ROADMAP items 3–4: network front-end shards,
-// partition coordinators) to slot in without renumbering.
+// so a new subsystem can slot in without renumbering.
 namespace lock_rank {
-inline constexpr int kEnginePool = 100;      // Engine::pool_mu_
 inline constexpr int kStoreWriter = 150;     // GraphStore::update_mu_
 inline constexpr int kStoreListeners = 200;  // GraphStore::listeners_mu_
 inline constexpr int kEngineSubs = 250;      // Engine::subs_mu_
@@ -88,16 +86,6 @@ class MLCORE_CAPABILITY("mutex") Mutex {
 #if MLCORE_LOCK_DEBUG_ENABLED
     DebugPushHeld();
 #endif
-  }
-
-  // Never blocks, so it carries no rank precondition; a successful
-  // acquisition is still recorded on the debug acquisition stack.
-  bool TryLock() MLCORE_TRY_ACQUIRE(true) {
-    if (!mu_.try_lock()) return false;
-#if MLCORE_LOCK_DEBUG_ENABLED
-    DebugPushHeld();
-#endif
-    return true;
   }
 
   void Unlock() MLCORE_RELEASE() {
@@ -152,65 +140,6 @@ class MLCORE_SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
   bool held_;
-};
-
-struct TryToLockT {
-  explicit TryToLockT() = default;
-};
-inline constexpr TryToLockT kTryToLock{};
-
-// Movable lock handle for ownership-passing patterns (e.g. Engine hands
-// the acquired pool lock into RunValidated by value). Thread-safety
-// analysis cannot track capabilities across moves, so this type is
-// deliberately opaque to it (NO_THREAD_SAFETY_ANALYSIS): never use it
-// for mutexes with MLCORE_GUARDED_BY members — use Mutex/MutexLock so
-// the guards stay checkable.
-class UniqueLock {
- public:
-  UniqueLock() noexcept = default;
-
-  // Single-driver contract: blocks until acquired.
-  explicit UniqueLock(Mutex& mu) MLCORE_NO_THREAD_SAFETY_ANALYSIS
-      : mu_(&mu), owns_(true) {
-    mu.Lock();
-  }
-
-  // Non-blocking attempt; OwnsLock() reports the outcome.
-  UniqueLock(Mutex& mu, TryToLockT) MLCORE_NO_THREAD_SAFETY_ANALYSIS
-      : mu_(&mu), owns_(mu.TryLock()) {}
-
-  UniqueLock(UniqueLock&& other) noexcept
-      : mu_(other.mu_), owns_(other.owns_) {
-    other.mu_ = nullptr;
-    other.owns_ = false;
-  }
-
-  UniqueLock& operator=(UniqueLock&& other) MLCORE_NO_THREAD_SAFETY_ANALYSIS {
-    if (this != &other) {
-      if (owns_) mu_->Unlock();
-      mu_ = other.mu_;
-      owns_ = other.owns_;
-      other.mu_ = nullptr;
-      other.owns_ = false;
-    }
-    return *this;
-  }
-
-  ~UniqueLock() MLCORE_NO_THREAD_SAFETY_ANALYSIS {
-    if (owns_) mu_->Unlock();
-  }
-
-  void Unlock() MLCORE_NO_THREAD_SAFETY_ANALYSIS {
-    mu_->Unlock();
-    owns_ = false;
-  }
-
-  bool OwnsLock() const noexcept { return owns_; }
-  explicit operator bool() const noexcept { return owns_; }
-
- private:
-  Mutex* mu_ = nullptr;
-  bool owns_ = false;
 };
 
 // Condition variable paired with util::Mutex. Waits keep the debug

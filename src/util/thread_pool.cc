@@ -23,38 +23,25 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::RunBatch(int worker) {
-  while (true) {
-    int64_t item;
-    const std::function<void(int, int64_t)>* fn;
-    {
-      util::MutexLock lock(mu_);
-      if (next_ >= count_) break;
-      item = next_++;
-      fn = fn_;  // non-null while unclaimed items remain
-    }
-    (*fn)(worker, item);
-    bool finished;
-    {
-      util::MutexLock lock(mu_);
-      finished = ++done_ == count_;
-    }
-    if (finished) batch_done_.NotifyOne();
-  }
+int64_t ThreadPool::Claim(Batch& batch) {
+  const int64_t item = batch.next++;
+  if (batch.next == batch.count) std::erase(open_, &batch);
+  return item;
 }
 
 void ThreadPool::WorkerLoop(int worker) {
-  uint64_t seen_generation = 0;
+  util::MutexLock lock(mu_);
   while (true) {
-    {
-      util::MutexLock lock(mu_);
-      while (!shutdown_ && generation_ == seen_generation) {
-        work_ready_.Wait(mu_);
-      }
-      if (shutdown_) return;
-      seen_generation = generation_;
-    }
-    RunBatch(worker);
+    while (!shutdown_ && open_.empty()) work_ready_.Wait(mu_);
+    if (shutdown_) return;
+    Batch& batch = *open_.front();
+    const int64_t item = Claim(batch);
+    lock.Unlock();
+    batch.fn(worker, item);
+    lock.Lock();
+    // Notify under mu_: the caller cannot observe `done == count` (and
+    // destroy the batch) before this thread lets go of the lock.
+    if (++batch.done == batch.count) batch.finished.NotifyOne();
   }
 }
 
@@ -181,19 +168,20 @@ void ThreadPool::ParallelFor(int64_t count,
     for (int64_t item = 0; item < count; ++item) fn(0, item);
     return;
   }
-  {
-    util::MutexLock lock(mu_);
-    fn_ = &fn;
-    count_ = count;
-    next_ = 0;
-    done_ = 0;
-    ++generation_;
-  }
-  work_ready_.NotifyAll();
-  RunBatch(/*worker=*/0);
+  Batch batch(fn, count);
   util::MutexLock lock(mu_);
-  while (done_ != count_) batch_done_.Wait(mu_);
-  fn_ = nullptr;
+  open_.push_back(&batch);
+  work_ready_.NotifyAll();
+  // The caller works only on its own call: helping another one as worker
+  // 0 could run two items under one worker id there.
+  while (batch.next < batch.count) {
+    const int64_t item = Claim(batch);
+    lock.Unlock();
+    fn(0, item);
+    lock.Lock();
+    ++batch.done;
+  }
+  while (batch.done < batch.count) batch.finished.Wait(mu_);
 }
 
 }  // namespace mlcore

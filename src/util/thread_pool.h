@@ -38,33 +38,44 @@ class ThreadPool {
 
   /// Runs fn(worker, item) for every item in [0, count), blocking until all
   /// items finish. Items are claimed dynamically; `worker` identifies the
-  /// executing lane for indexing per-worker scratch arenas. Not reentrant:
-  /// fn must not call ParallelFor on the same pool.
+  /// executing lane for indexing per-worker scratch arenas, and no worker
+  /// id runs two items of one call at once. Safe to call from any number
+  /// of threads at once, and from inside an item (nested calls): the
+  /// caller drains its own call as worker 0, and idle background workers
+  /// help the oldest call that still has unclaimed items.
   void ParallelFor(int64_t count, const std::function<void(int, int64_t)>& fn);
 
  private:
+  // One open ParallelFor call, on its caller's stack. Every field but `fn`
+  // and `count` is guarded by mu_ (not annotated: TSA cannot name another
+  // object's mutex from a nested struct).
+  struct Batch {
+    Batch(const std::function<void(int, int64_t)>& f, int64_t n)
+        : fn(f), count(n) {}
+    const std::function<void(int, int64_t)>& fn;
+    const int64_t count;
+    int64_t next = 0;  // next unclaimed item
+    int64_t done = 0;  // items finished
+    util::CondVar finished;
+  };
+
   void WorkerLoop(int worker);
-  // Claims and runs items until the current batch is drained. Completion is
-  // tracked per *item*, not per worker, so a small batch finishes as soon
-  // as its items do — the caller never waits for idle workers to wake, and
-  // a worker waking late simply finds nothing to claim.
-  void RunBatch(int worker);
+  // Claims the next item of `batch`, delisting the batch from open_ once
+  // its last item is claimed. Completion is tracked per *item*, so a call
+  // finishes as soon as its items do: the caller never waits for idle
+  // workers to wake, and a worker waking late finds nothing to claim.
+  int64_t Claim(Batch& batch) MLCORE_REQUIRES(mu_);
 
   const int num_threads_;
   std::vector<std::thread> workers_;
 
   util::Mutex mu_{util::lock_rank::kThreadPool, "ThreadPool::mu_"};
   util::CondVar work_ready_;
-  util::CondVar batch_done_;
-  // Current batch; non-null exactly while a batch is in flight.
-  const std::function<void(int, int64_t)>* fn_ MLCORE_GUARDED_BY(mu_) =
-      nullptr;
-  int64_t count_ MLCORE_GUARDED_BY(mu_) = 0;
-  int64_t next_ MLCORE_GUARDED_BY(mu_) = 0;  // next unclaimed item
-  // Items finished in the current batch.
-  int64_t done_ MLCORE_GUARDED_BY(mu_) = 0;
-  // Bumped once per ParallelFor to wake workers.
-  uint64_t generation_ MLCORE_GUARDED_BY(mu_) = 0;
+  // Calls with unclaimed items, oldest first. A batch leaves the list when
+  // its last item is claimed, so a worker only ever refers to a batch it
+  // claimed an unfinished item of, and the caller (waiting for `done`)
+  // cannot return while one does.
+  std::vector<Batch*> open_ MLCORE_GUARDED_BY(mu_);
   bool shutdown_ MLCORE_GUARDED_BY(mu_) = false;
 };
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "core/dcc.h"
 #include "dccs/preprocess.h"
 #include "graph/generators.h"
@@ -142,6 +146,69 @@ TEST(ThreadPoolTest, ReusableAcrossBatches) {
     });
     for (int64_t i = 0; i < count; ++i) {
       EXPECT_EQ(hits[static_cast<size_t>(i)], 1) << "item " << i;
+    }
+  }
+}
+
+// Many threads may call ParallelFor on one pool at once: each call runs
+// every one of its items exactly once, and within a call no worker id runs
+// two items at once, so per-worker scratch stays private to one item.
+TEST(ThreadPoolTest, ConcurrentCallersShareThePool) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 6;
+  constexpr int kCallsPerCaller = 50;
+  constexpr int64_t kItems = 24;
+  std::atomic<int> bad_worker{0};
+  std::atomic<int> wrong_hits{0};
+  std::atomic<int> overlaps{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int call = 0; call < kCallsPerCaller; ++call) {
+        std::vector<std::atomic<int>> hits(kItems);
+        std::vector<std::atomic<int>> busy(
+            static_cast<size_t>(pool.num_threads()));
+        pool.ParallelFor(kItems, [&](int worker, int64_t i) {
+          if (worker < 0 || worker >= pool.num_threads()) {
+            bad_worker.fetch_add(1);
+            return;
+          }
+          std::atomic<int>& lane = busy[static_cast<size_t>(worker)];
+          if (lane.exchange(1) != 0) overlaps.fetch_add(1);
+          hits[static_cast<size_t>(i)].fetch_add(1);
+          std::this_thread::yield();
+          lane.store(0);
+        });
+        for (const std::atomic<int>& h : hits) {
+          if (h.load() != 1) wrong_hits.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(bad_worker.load(), 0);
+  EXPECT_EQ(wrong_hits.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+}
+
+// An item may itself call ParallelFor on the same pool; both levels run
+// every item exactly once and the outer call completes.
+TEST(ThreadPoolTest, NestedCallsComplete) {
+  constexpr int64_t kOuter = 8;
+  constexpr int64_t kInner = 8;
+  for (int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    pool.ParallelFor(kOuter, [&](int /*worker*/, int64_t outer) {
+      pool.ParallelFor(kInner, [&](int worker, int64_t inner) {
+        ASSERT_GE(worker, 0);
+        ASSERT_LT(worker, pool.num_threads());
+        hits[static_cast<size_t>(outer * kInner + inner)].fetch_add(1);
+      });
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " item " << i;
     }
   }
 }

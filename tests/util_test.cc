@@ -344,19 +344,6 @@ TEST(MutexTest, MutualExclusionCounter) {
   EXPECT_EQ(counter, kThreads * kIters);
 }
 
-TEST(MutexTest, TryLockFailsWhileHeldElsewhere) {
-  util::Mutex mu;
-  mu.Lock();
-  std::atomic<int> observed{-1};
-  std::thread other([&] { observed = mu.TryLock() ? 1 : 0; });
-  other.join();
-  EXPECT_EQ(observed.load(), 0);
-  mu.Unlock();
-  // Free again: TryLock succeeds and must be paired with Unlock.
-  ASSERT_TRUE(mu.TryLock());
-  mu.Unlock();
-}
-
 TEST(MutexTest, CondVarWaitAndNotify) {
   util::Mutex mu;
   util::CondVar cv;
@@ -400,32 +387,9 @@ TEST(MutexTest, MutexLockRelock) {
   lock.Lock();  // dtor releases
 }
 
-TEST(MutexTest, UniqueLockTryMoveAndOwnership) {
-  util::Mutex mu;
-  util::UniqueLock lock(mu, util::kTryToLock);
-  ASSERT_TRUE(lock.OwnsLock());
-
-  // A second try-acquire on the same thread must fail without blocking.
-  {
-    util::UniqueLock contender(mu, util::kTryToLock);
-    EXPECT_FALSE(contender.OwnsLock());
-    EXPECT_FALSE(static_cast<bool>(contender));
-  }
-
-  // Ownership transfers on move; the source is left empty.
-  util::UniqueLock moved(std::move(lock));
-  EXPECT_TRUE(moved.OwnsLock());
-  EXPECT_FALSE(lock.OwnsLock());  // NOLINT(bugprone-use-after-move): probing the moved-from state is the point
-
-  moved.Unlock();
-  EXPECT_FALSE(moved.OwnsLock());
-  util::UniqueLock reacquired(mu);
-  EXPECT_TRUE(reacquired.OwnsLock());
-}
-
 TEST(MutexTest, RankedInOrderAcquisitionIsClean) {
   // Strictly increasing ranks: always legal, in every build mode.
-  util::Mutex outer(util::lock_rank::kEnginePool, "test_outer");
+  util::Mutex outer(util::lock_rank::kStoreWriter, "test_outer");
   util::Mutex inner(util::lock_rank::kEngineCache, "test_inner");
   util::MutexLock lock_outer(outer);
   util::MutexLock lock_inner(inner);
@@ -444,10 +408,10 @@ TEST(LockHierarchyDeathTest, RankInversionAborts) {
   }
   EXPECT_DEATH(
       {
-        util::Mutex a(util::lock_rank::kEnginePool, "death_a");
+        util::Mutex a(util::lock_rank::kStoreWriter, "death_a");
         util::Mutex b(util::lock_rank::kEngineCache, "death_b");
         util::MutexLock lock_b(b);
-        util::MutexLock lock_a(a);  // rank 100 after rank 450: inversion
+        util::MutexLock lock_a(a);  // rank 150 after rank 450: inversion
       },
       "lock hierarchy violation");
 }
