@@ -14,9 +14,7 @@
 #include "graph/datasets.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "store/update.h"
 #include "util/flags.h"
-#include "util/rng.h"
 #include "util/table.h"
 #include "util/timing.h"
 
@@ -123,91 +121,20 @@ struct RunOutcome {
   SearchStats stats;
 };
 
-/// Warm-capable run through a long-lived Engine: repeat (d, s) keys hit the
-/// preprocessing cache (DESIGN.md §5). Aborts on invalid requests — bench
-/// parameters are trusted.
-inline RunOutcome RunAlgorithm(Engine& engine, const DccsParams& params,
-                               DccsAlgorithm algorithm) {
-  Expected<DccsResult> response = engine.Run(DccsRequest{params, algorithm});
-  MLCORE_CHECK_MSG(response.ok(), response.status().message.c_str());
-  return RunOutcome{response->stats.total_seconds, response->CoverSize(),
-                    response->stats};
-}
-
 /// Cold run: a temporary single-query Engine per call on `search_threads`
 /// lanes, so every row of a figure pays the full preprocessing cost the
-/// paper measures. Use the Engine overload above when a harness
-/// deliberately wants cross-query reuse (bench_engine_reuse).
+/// paper measures. Aborts on invalid requests — bench parameters are
+/// trusted.
 inline RunOutcome RunAlgorithm(const MultiLayerGraph& graph,
                                const DccsParams& params,
                                DccsAlgorithm algorithm,
                                int search_threads = DefaultSearchThreads()) {
   Engine engine(&graph, Engine::Options{.query_workers = 0,
                                         .search_threads = search_threads});
-  return RunAlgorithm(engine, params, algorithm);
-}
-
-/// Deterministic churn batch against the current graph: `size` edge
-/// updates, half removals of present edges, half insertions of absent
-/// pairs, deduplicated per layer — valid for GraphStore::ApplyUpdate by
-/// construction. Shared by the dynamic-graph harnesses (bench_updates,
-/// bench_subscriptions).
-inline UpdateBatch MakeChurnBatch(const MultiLayerGraph& graph, int64_t size,
-                                  Rng& rng) {
-  UpdateBatch batch;
-  const int32_t n = graph.NumVertices();
-  const int32_t l = graph.NumLayers();
-  std::vector<std::vector<std::pair<VertexId, VertexId>>> touched(
-      static_cast<size_t>(l));
-  auto fresh = [&](LayerId layer, VertexId u, VertexId v) {
-    auto key = std::make_pair(std::min(u, v), std::max(u, v));
-    auto& list = touched[static_cast<size_t>(layer)];
-    if (std::find(list.begin(), list.end(), key) != list.end()) return false;
-    list.push_back(key);
-    return true;
-  };
-  for (int64_t i = 0; i < size / 2; ++i) {
-    auto layer = static_cast<LayerId>(rng.Uniform(0, l - 1));
-    auto v = static_cast<VertexId>(rng.Uniform(0, n - 1));
-    auto nbrs = graph.Neighbors(layer, v);
-    if (nbrs.empty()) continue;
-    VertexId u = nbrs[static_cast<size_t>(
-        rng.Uniform(0, static_cast<int64_t>(nbrs.size()) - 1))];
-    if (fresh(layer, u, v)) batch.Remove(layer, u, v);
-  }
-  for (int64_t i = 0; i < size - size / 2;) {
-    auto layer = static_cast<LayerId>(rng.Uniform(0, l - 1));
-    auto u = static_cast<VertexId>(rng.Uniform(0, n - 1));
-    auto v = static_cast<VertexId>(rng.Uniform(0, n - 1));
-    ++i;
-    if (u == v || graph.HasEdge(layer, std::min(u, v), std::max(u, v))) {
-      continue;
-    }
-    if (fresh(layer, u, v)) batch.Insert(layer, u, v);
-  }
-  return batch;
-}
-
-/// Disjoint layer-0 vertex pairs of degree <= d - 2 with no edge between
-/// them: toggling these edges changes graph content every epoch without
-/// ever touching a d-core subgraph — the "background churn" workload that
-/// generational cache keys (DESIGN.md §8) must absorb for free.
-inline std::vector<std::pair<VertexId, VertexId>> LowDegreeBackgroundPairs(
-    const MultiLayerGraph& graph, int d, size_t limit = 32) {
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  VertexId prev = -1;
-  for (VertexId v = 0; v < graph.NumVertices() && pairs.size() < limit; ++v) {
-    if (graph.Degree(0, v) > d - 2) continue;
-    if (prev < 0) {
-      prev = v;
-    } else if (!graph.HasEdge(0, prev, v)) {
-      pairs.emplace_back(prev, v);
-      prev = -1;
-    }
-  }
-  MLCORE_CHECK_MSG(!pairs.empty(),
-                   "generator produced no low-degree background vertices");
-  return pairs;
+  Expected<DccsResult> response = engine.Run(DccsRequest{params, algorithm});
+  MLCORE_CHECK_MSG(response.ok(), response.status().message.c_str());
+  return RunOutcome{response->stats.total_seconds, response->CoverSize(),
+                    response->stats};
 }
 
 /// The small-s sweep of Fig 13 ({1..5}) and its large-s counterpart

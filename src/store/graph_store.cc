@@ -1,6 +1,7 @@
 #include "store/graph_store.h"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -147,6 +148,11 @@ Status GraphStore::Normalize(const GraphSnapshot& base,
   if (batch.add_vertices < 0) {
     return Status::InvalidArgument("add_vertices must be >= 0, got " +
                                    std::to_string(batch.add_vertices));
+  }
+  if (batch.add_vertices > std::numeric_limits<int32_t>::max() - n_old) {
+    return Status::InvalidArgument("add_vertices " +
+                                   std::to_string(batch.add_vertices) +
+                                   " overflows the vertex id space");
   }
   out->add_vertices = batch.add_vertices;
   const int32_t n_new = n_old + batch.add_vertices;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <set>
@@ -147,6 +148,12 @@ TEST(GraphStoreTest, ValidationRejectsMalformedBatches) {
   UpdateBatch negative;
   negative.add_vertices = -1;
   expect_rejected(negative, "negative add_vertices");
+  // Vertex counts past the int32 id space must be rejected, not overflow
+  // into a std::length_error abort while the new graph is allocated.
+  const int32_t n = store.snapshot()->graph().NumVertices();
+  expect_rejected(UpdateBatch{}.AddVertices(INT32_MAX), "add_vertices max");
+  expect_rejected(UpdateBatch{}.AddVertices(INT32_MAX - n + 1),
+                  "add_vertices one past the id space");
 
   // The failed batches must have changed nothing.
   EXPECT_EQ(AllEdges(store.snapshot()->graph()), AllEdges(TriangleGraph()));
@@ -310,6 +317,106 @@ TEST(GraphStoreTest, IncrementalAndRecomputePathsAgree) {
   EXPECT_GT(incremental.stats().incremental_layer_updates, 0);
   EXPECT_EQ(incremental.stats().full_layer_recomputes, 0);
   EXPECT_GT(recompute.stats().full_layer_recomputes, 0);
+}
+
+// One seeded batch of 1-6 records against `graph`: mostly valid inserts and
+// removes, mixed with hostile records (ids in [-2, n+2], layers in [-1, l],
+// self-loops, duplicates, insert/remove conflicts) and add_vertices drawn
+// from {-1, 0, small, INT32_MAX - n + 1, INT32_MAX}. A large but
+// representable count is never drawn: it would allocate gigabytes.
+UpdateBatch MutatedBatch(const MultiLayerGraph& graph, Rng& rng) {
+  const int32_t n = graph.NumVertices();
+  const int32_t l = graph.NumLayers();
+  UpdateBatch batch;
+  const int64_t add_pick = rng.Uniform(0, 9);
+  if (add_pick == 0) batch.add_vertices = -1;
+  if (add_pick >= 6 && add_pick <= 7) {
+    batch.add_vertices = static_cast<int32_t>(rng.Uniform(1, 3));
+  }
+  if (add_pick == 8) batch.add_vertices = INT32_MAX - n + 1;
+  if (add_pick == 9) batch.add_vertices = INT32_MAX;
+
+  const int64_t records = rng.Uniform(1, 6);
+  for (int64_t i = 0; i < records; ++i) {
+    auto layer = static_cast<LayerId>(rng.Uniform(0, l - 1));
+    auto u = static_cast<VertexId>(rng.Uniform(0, n - 1));
+    auto v = static_cast<VertexId>(rng.Uniform(0, n - 1));
+    switch (rng.Uniform(0, 9)) {
+      case 0:  // hostile ids and layer
+        batch.Insert(static_cast<LayerId>(rng.Uniform(-1, l)),
+                     static_cast<VertexId>(rng.Uniform(-2, n + 2)),
+                     static_cast<VertexId>(rng.Uniform(-2, n + 2)));
+        break;
+      case 1:  // self-loop
+        batch.Insert(layer, u, u);
+        break;
+      case 2:  // duplicate or conflicting record
+        if (!batch.insert_edges.empty()) {
+          const EdgeUpdate e = batch.insert_edges.back();
+          if (rng.Bernoulli(0.5)) {
+            batch.Insert(e.layer, e.v, e.u);
+          } else {
+            batch.Remove(e.layer, e.u, e.v);
+          }
+        }
+        break;
+      case 3:  // vertex removal, possibly out of range
+        batch.RemoveVertex(static_cast<VertexId>(rng.Uniform(-2, n + 2)));
+        break;
+      case 4:
+      case 5:
+      case 6: {  // remove an edge that exists
+        auto nbrs = graph.Neighbors(layer, v);
+        if (nbrs.empty()) break;
+        VertexId w = nbrs[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(nbrs.size()) - 1))];
+        batch.Remove(layer, v, w);
+        break;
+      }
+      default:  // insert, usually of an absent edge
+        if (u != v) batch.Insert(layer, u, v);
+        break;
+    }
+  }
+  return batch;
+}
+
+TEST(GraphStoreFuzzTest, MutatedBatchesAreRejectedOrApplied) {
+  constexpr int kD = 3;
+  for (uint64_t seed : {21, 22, 23}) {
+    GraphStore::Options options;
+    options.tracked_degrees = {kD};
+    GraphStore store(GenerateErdosRenyi(40, 3, 0.12, seed), options);
+    Rng rng(seed);
+    int applied = 0, rejected = 0;
+    for (int round = 0; round < 120; ++round) {
+      std::shared_ptr<const GraphSnapshot> before = store.snapshot();
+      const UpdateBatch batch = MutatedBatch(before->graph(), rng);
+      auto outcome = store.ApplyUpdate(batch);
+      std::shared_ptr<const GraphSnapshot> after = store.snapshot();
+      if (!outcome.ok()) {
+        ++rejected;
+        ASSERT_EQ(after->epoch(), before->epoch())
+            << "seed " << seed << " round " << round;
+        ASSERT_EQ(AllEdges(after->graph()), AllEdges(before->graph()))
+            << "seed " << seed << " round " << round;
+        continue;
+      }
+      ++applied;
+      ASSERT_EQ(outcome->epoch, before->epoch() + (batch.empty() ? 0 : 1))
+          << "seed " << seed << " round " << round;
+      const MultiLayerGraph& graph = after->graph();
+      const TrackedCores* tracked = after->tracked(kD);
+      ASSERT_NE(tracked, nullptr);
+      for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
+        ASSERT_EQ(*tracked->cores[static_cast<size_t>(layer)],
+                  DCore(graph, layer, kD))
+            << "seed " << seed << " round " << round << " layer " << layer;
+      }
+    }
+    EXPECT_GT(applied, 10) << "seed " << seed;
+    EXPECT_GT(rejected, 10) << "seed " << seed;
+  }
 }
 
 TEST(UpdateStreamIoTest, RoundTripsBatches) {
