@@ -1,6 +1,7 @@
 #include "dccs/cover.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 
@@ -50,11 +51,10 @@ int64_t CoverageIndex::SizeWithReplacement(const VertexSet& candidate) const {
   const int star = MinExclusiveSlot();
   int64_t count = 0;
   for (VertexId v : candidate) {
-    auto it = owners_.find(v);
-    if (it == owners_.end()) {
-      ++count;  // v ∈ C − Cov(R)
-    } else if (it->second.size() == 1 && it->second[0] == star) {
-      ++count;  // v ∈ C ∩ Δ(R, C*)
+    const Owners owners = OwnersOf(v);
+    // v ∈ C − Cov(R), or v ∈ C ∩ Δ(R, C*).
+    if (owners.count == 0 || (owners.count == 1 && owners.owner_xor == star)) {
+      ++count;
     }
   }
   return count + cover_size_ - exclusive_[static_cast<size_t>(star)];
@@ -63,7 +63,7 @@ int64_t CoverageIndex::SizeWithReplacement(const VertexSet& candidate) const {
 int64_t CoverageIndex::MarginalGain(const VertexSet& candidate) const {
   int64_t gain = 0;
   for (VertexId v : candidate) {
-    if (owners_.find(v) == owners_.end()) ++gain;
+    if (OwnersOf(v).count == 0) ++gain;
   }
   return gain;
 }
@@ -114,19 +114,28 @@ bool CoverageIndex::Update(const VertexSet& candidate, const LayerSet& layers) {
 }
 
 void CoverageIndex::Insert(const VertexSet& candidate, const LayerSet& layers) {
+  // M is indexed by vertex id: the candidate must be non-empty, sorted,
+  // duplicate-free and non-negative.
+  MLCORE_DCHECK(!candidate.empty() && candidate.front() >= 0);
+  MLCORE_DCHECK(std::adjacent_find(candidate.begin(), candidate.end(),
+                                   std::greater_equal<VertexId>()) ==
+                candidate.end());
+  const size_t needed = static_cast<size_t>(candidate.back()) + 1;
+  if (owners_.size() < needed) owners_.resize(needed);
   const int slot = size();
   entries_.push_back(ResultCore{layers, candidate});
   exclusive_.push_back(0);
   for (VertexId v : candidate) {
-    auto& slots = owners_[v];
-    slots.push_back(slot);
-    if (slots.size() == 1) {
+    Owners& owners = owners_[static_cast<size_t>(v)];
+    if (owners.count == 0) {
       ++cover_size_;
       ++exclusive_[static_cast<size_t>(slot)];
-    } else if (slots.size() == 2) {
+    } else if (owners.count == 1) {
       // v was exclusive to its previous single owner; it no longer is.
-      --exclusive_[static_cast<size_t>(slots[0])];
+      --exclusive_[static_cast<size_t>(owners.owner_xor)];
     }
+    ++owners.count;
+    owners.owner_xor ^= slot;
   }
 }
 
@@ -135,22 +144,20 @@ void CoverageIndex::Delete(int slot) {
   const int last = size() - 1;
   // Detach the slot's vertices.
   for (VertexId v : entries_[static_cast<size_t>(slot)].vertices) {
-    auto it = owners_.find(v);
-    MLCORE_DCHECK(it != owners_.end());
-    auto& slots = it->second;
-    slots.erase(std::find(slots.begin(), slots.end(), slot));
-    if (slots.empty()) {
-      owners_.erase(it);
+    Owners& owners = owners_[static_cast<size_t>(v)];
+    MLCORE_DCHECK(owners.count > 0);
+    --owners.count;
+    owners.owner_xor ^= slot;
+    if (owners.count == 0) {
       --cover_size_;
-    } else if (slots.size() == 1) {
-      ++exclusive_[static_cast<size_t>(slots[0])];
+    } else if (owners.count == 1) {
+      ++exclusive_[static_cast<size_t>(owners.owner_xor)];
     }
   }
   // Move the last slot into the vacated position to keep slots dense.
   if (slot != last) {
     for (VertexId v : entries_[static_cast<size_t>(last)].vertices) {
-      auto& slots = owners_.at(v);
-      *std::find(slots.begin(), slots.end(), last) = slot;
+      owners_[static_cast<size_t>(v)].owner_xor ^= last ^ slot;
     }
     entries_[static_cast<size_t>(slot)] =
         std::move(entries_[static_cast<size_t>(last)]);
@@ -162,28 +169,33 @@ void CoverageIndex::Delete(int slot) {
 }
 
 void CoverageIndex::CheckInvariants() const {
-  std::unordered_map<VertexId, int> counts;
-  std::unordered_map<VertexId, int> sole_owner;
+  // Rebuild M and the Δ sizes from the entries alone.
+  std::vector<Owners> expected_owners(owners_.size());
   for (int slot = 0; slot < size(); ++slot) {
     for (VertexId v : entries_[static_cast<size_t>(slot)].vertices) {
-      ++counts[v];
-      sole_owner[v] = slot;
+      // NOLINT(mlcore-release-check): test oracle — aborting IS the point
+      MLCORE_CHECK(v >= 0 && static_cast<size_t>(v) < owners_.size());
+      Owners& owners = expected_owners[static_cast<size_t>(v)];
+      ++owners.count;
+      owners.owner_xor ^= slot;
     }
   }
-  // NOLINT(mlcore-release-check): test oracle — aborting IS the point
-  MLCORE_CHECK(static_cast<int64_t>(counts.size()) == cover_size_);
+  int64_t covered = 0;
   std::vector<int64_t> expected(static_cast<size_t>(size()), 0);
-  for (const auto& [v, count] : counts) {
-    if (count == 1) ++expected[static_cast<size_t>(sole_owner[v])];
+  for (size_t v = 0; v < owners_.size(); ++v) {
+    const Owners& want = expected_owners[v];
+    // NOLINT(mlcore-release-check): test oracle
+    MLCORE_CHECK(owners_[v].count == want.count &&
+                 owners_[v].owner_xor == want.owner_xor);
+    if (want.count > 0) ++covered;
+    if (want.count == 1) ++expected[static_cast<size_t>(want.owner_xor)];
   }
+  // NOLINT(mlcore-release-check): test oracle
+  MLCORE_CHECK(covered == cover_size_);
   for (int slot = 0; slot < size(); ++slot) {
     // NOLINT(mlcore-release-check): test oracle
     MLCORE_CHECK(expected[static_cast<size_t>(slot)] ==
                  exclusive_[static_cast<size_t>(slot)]);
-  }
-  for (const auto& [v, slots] : owners_) {
-    // NOLINT(mlcore-release-check): test oracle
-    MLCORE_CHECK(counts.at(v) == static_cast<int>(slots.size()));
   }
 }
 

@@ -2,7 +2,6 @@
 #define MLCORE_DCCS_COVER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "dccs/params.h"
@@ -18,11 +17,12 @@ VertexSet CoverOf(const std::vector<ResultCore>& cores);
 /// Maintains the temporary top-k diversified d-CC set R and implements the
 /// `Update` procedure of paper §IV-A / Appendix C.
 ///
-/// Internally mirrors Appendix C's hash table M (vertex → owning results)
-/// and the per-result exclusive-coverage sizes |Δ(R, C')|. Because k ≤ 25 in
-/// every experiment, the argmin result C*(R) is located by an O(k) scan
-/// rather than the paper's secondary hash H — same asymptotics up to the
-/// constant k, much simpler invariants (see DESIGN.md §3).
+/// Internally keeps Appendix C's table M (vertex → owning results) as a flat
+/// vertex-indexed array, and the per-result exclusive-coverage sizes
+/// |Δ(R, C')|. Because k ≤ 25 in every experiment, the argmin result C*(R)
+/// is located by an O(k) scan rather than the paper's secondary hash H —
+/// same asymptotics up to the constant k, much simpler invariants (see
+/// DESIGN.md §3).
 ///
 /// Update rules (paper §IV-A):
 ///   Rule 1: if |R| < k, C is inserted unconditionally.
@@ -87,6 +87,19 @@ class CoverageIndex {
   void CheckInvariants() const;
 
  private:
+  // One entry of M. `owner_xor` is the XOR of the slots covering the
+  // vertex, so it names the sole owner when `count == 1`.
+  struct Owners {
+    int32_t count = 0;
+    int32_t owner_xor = 0;
+  };
+
+  // M's entry for `v`; ids past the table's end are covered by no slot.
+  Owners OwnersOf(VertexId v) const {
+    const size_t i = static_cast<size_t>(v);
+    return i < owners_.size() ? owners_[i] : Owners{};
+  }
+
   void Insert(const VertexSet& candidate, const LayerSet& layers);
   void Delete(int slot);
 
@@ -94,9 +107,9 @@ class CoverageIndex {
   int64_t cover_size_ = 0;
   std::vector<ResultCore> entries_;
   std::vector<int64_t> exclusive_;
-  // Appendix C's M: vertex -> slots covering it. Slot lists are tiny
-  // (bounded by k), so a flat vector beats a hash set.
-  std::unordered_map<VertexId, std::vector<int>> owners_;
+  // Appendix C's M, indexed by vertex id: 8 bytes per id up to the largest
+  // id ever inserted.
+  std::vector<Owners> owners_;
 };
 
 }  // namespace mlcore
