@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/dcc.h"
 #include "dccs/concurrent_topk.h"
-#include "dccs/cover.h"
 #include "dccs/preprocess.h"
 #include "dccs/search_lanes.h"
 #include "obs/span.h"
-#include "util/timing.h"
 
 namespace mlcore {
 
@@ -301,93 +298,21 @@ class BottomUpSearch {
 
 DccsResult BottomUpDccs(const MultiLayerGraph& graph, const DccsParams& params,
                         const DccsExecution& exec) {
-  // Guaranteed by Engine::Validate on every request path; debug-only so a
-  // malformed direct call still trips in development builds.
-  MLCORE_DCHECK(params.s >= 1);
-  MLCORE_DCHECK(params.k >= 1);
-
-  WallTimer total_timer;
-  DccsResult result;
-  if (params.s > graph.NumLayers() || graph.NumLayers() > 64) {
-    // > 64 layers: the lattice's word-sized position masks cannot represent
-    // the layer subsets. Library callers get the same (empty) result as the
-    // vacuous s > l case; the Engine rejects such requests up front with
-    // kInvalidArgument instead of ever dispatching here (DESIGN.md §5).
-    result.stats.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
-  // Fig 7 lines 1–7: vertex deletion, unless the caller injected a cached
-  // §IV-C result (then preprocess_seconds stays 0; the host reports the
-  // true acquisition cost).
-  std::optional<PreprocessResult> local_preprocess;
-  if (exec.preprocess == nullptr) {
-    obs::Span preprocess_span(exec.trace, "query.preprocess",
-                              exec.trace_parent);
-    local_preprocess =
-        Preprocess(graph, params.d, params.s, params.vertex_deletion,
-                   exec.pool, /*base_cores=*/nullptr, exec.control);
-    result.stats.preprocess_seconds = local_preprocess->seconds;
-    if (local_preprocess->stopped != QueryStop::kNone) {
-      // Cancelled/deadline-expired before the fixpoint completed: no search
-      // phase, no usable (partial) preprocessing.
-      result.stats.stopped = local_preprocess->stopped;
-      result.stats.total_seconds = total_timer.Seconds();
-      return result;
-    }
-  }
-  const PreprocessResult& preprocess =
-      exec.preprocess != nullptr ? *exec.preprocess : *local_preprocess;
-
-  obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
-  const WallTimer& search_timer = search_span.timer();
-  LaneArenas<NoScratch> arenas(graph, exec, exec.search_threads);
-  DccSolver& solver = *arenas[0].solver;
-
-  // Fig 7 line 8: greedy initialisation of R (Appendix D) — replayed from a
-  // cached capture, copied from an already-seeded prototype, or computed.
-  // All three leave the identical seeded state; the capture's recorded dCC
-  // evaluations keep candidates_generated exact.
-  CoverageIndex seeded(params.k);
-  int64_t seed_calls = 0;
-  if (exec.seeded_topk != nullptr) {
-    seeded = *exec.seeded_topk;
-    seed_calls = exec.seeds != nullptr ? exec.seeds->solver_calls : 0;
-  } else if (exec.seeds != nullptr) {
-    ReplayInitSeeds(*exec.seeds, seeded);
-    seed_calls = exec.seeds->solver_calls;
-  } else {
-    const int64_t calls_before = solver.num_calls();
-    InitTopK(graph, params, preprocess, solver, seeded);
-    seed_calls = solver.num_calls() - calls_before;
-  }
-  // Fig 7 line 9: sort layers by |C^d(G_i)| descending (cached by the
-  // Engine per query entry).
-  std::optional<std::vector<LayerId>> local_order;
-  if (exec.layer_order == nullptr) {
-    local_order =
-        SortedLayerOrder(preprocess, /*descending=*/true, params.sort_layers);
-  }
-  const std::vector<LayerId>& order =
-      exec.layer_order != nullptr ? *exec.layer_order : *local_order;
-
-  // Fig 7 line 10: recursive candidate generation (the commit driver),
-  // with child evaluations fanned out over exec.search_threads lanes.
-  ConcurrentTopK top_k(std::move(seeded));
-  BottomUpSearch search(graph, params, preprocess, order, exec, arenas, top_k,
-                        result.stats, search_span.id());
-  search.Run();
-  search_span.End();
-
-  obs::Span cover_span(exec.trace, "query.cover", exec.trace_parent);
-  result.cores = top_k.index().entries();
-  cover_span.End();
-  result.stats.candidates_generated = seed_calls + search.committed_calls();
-  result.stats.speculative_evals =
-      search.executed_calls() - search.committed_calls();
-  result.stats.search_seconds = search_timer.Seconds();
-  result.stats.total_seconds = total_timer.Seconds();
-  return result;
+  // Fig 7 lines 1–9 (RunLatticeSearch), then line 10: recursive candidate
+  // generation (the commit driver), with child evaluations fanned out over
+  // exec.search_threads lanes.
+  return RunLatticeSearch<NoScratch>(
+      graph, params, exec, /*descending=*/true,
+      [&](const PreprocessResult& preprocess,
+          const std::vector<LayerId>& order, LaneArenas<NoScratch>& arenas,
+          ConcurrentTopK& top_k, SearchStats& stats, obs::SpanId span) {
+        BottomUpSearch search(graph, params, preprocess, order, exec, arenas,
+                              top_k, stats, span);
+        search.Run();
+        return LatticeCalls{
+            search.committed_calls(),
+            search.executed_calls() - search.committed_calls()};
+      });
 }
 
 }  // namespace mlcore

@@ -35,7 +35,7 @@ namespace mlcore {
 ///     stays safe if a future host ever commits from more than one thread.
 class ConcurrentTopK {
  public:
-  /// Starts from an already-seeded index (InitTopK replay); takes the
+  /// Starts from an already-seeded index (InitSeeds::topk); takes the
   /// index by value and publishes its bound.
   explicit ConcurrentTopK(CoverageIndex seeded);
 

@@ -2,9 +2,9 @@
 #define MLCORE_DCCS_EXECUTION_H_
 
 #include <functional>
+#include <optional>
 
 #include "core/dcc.h"
-#include "dccs/cover.h"
 #include "dccs/preprocess.h"
 #include "dccs/vertex_index.h"
 #include "obs/span.h"
@@ -23,33 +23,23 @@ namespace mlcore {
 /// All pointed-to state is borrowed for the duration of the call and never
 /// mutated (the solver and pool are mutated but owned-elsewhere scratch).
 /// Injected state must match the query: `preprocess` must be the §IV-C
-/// output for (d, s, vertex_deletion), `seeds` the InitTopK capture for
-/// (d, s, k, dcc_engine), and `index` the §V-C vertex index built over
-/// `preprocess->active` with threshold d. The algorithms MLCORE_DCHECK what
-/// they cheaply can; semantic agreement is the injector's contract.
+/// output for (d, s, vertex_deletion), `seeds` the ComputeInitSeeds output
+/// for (d, s, k, dcc_engine) over that preprocessing, and `index` the §V-C
+/// vertex index built over `preprocess->active` with threshold d. The
+/// algorithms MLCORE_DCHECK what they cheaply can; semantic agreement is the
+/// injector's contract.
 struct DccsExecution {
   /// §IV-C preprocessing to reuse; when set, the algorithm skips vertex
   /// deletion entirely and reports preprocess_seconds = 0 (the host knows
   /// the true acquisition cost and patches the stat).
   const PreprocessResult* preprocess = nullptr;
 
-  /// Captured InitTopK seeds to replay instead of re-running Appendix D.
-  /// Ignored by GD-DCCS (which has no InitTopK stage). When null and
-  /// params.init_result is set, the algorithm computes seeds itself.
+  /// InitTopK seeds to reuse instead of re-running Appendix D: BU/TD start
+  /// from a copy of `seeds->topk`, and its solver_calls keeps
+  /// candidates_generated exact. Ignored by GD-DCCS (which has no InitTopK
+  /// stage). When null, BU/TD compute the seeds themselves (an empty top-k
+  /// when params.init_result is false).
   const InitSeeds* seeds = nullptr;
-
-  /// Already-seeded top-k prototype for (k, dcc_engine): the CoverageIndex
-  /// state after replaying `seeds`. When set, BU/TD start from a *copy* of
-  /// it and skip the per-query replay loop entirely (the Engine caches one
-  /// per query entry). `seeds` must still be set — its solver_calls keeps
-  /// candidates_generated exact — and must be the capture the prototype was
-  /// seeded from.
-  const CoverageIndex* seeded_topk = nullptr;
-
-  /// Sorted layer order to reuse (SortedLayerOrder output): descending
-  /// |C^d(G_i)| for BU, ascending for TD, identity when the query's
-  /// params.sort_layers is false. When null the algorithm sorts per call.
-  const std::vector<LayerId>* layer_order = nullptr;
 
   /// §V-C vertex index to reuse (TD-DCCS only). When null, TD-DCCS builds
   /// its own over preprocess->active.
@@ -115,6 +105,29 @@ struct DccsExecution {
   /// span); 0 roots them at the trace itself.
   obs::SpanId trace_parent = 0;
 };
+
+/// The §IV-C vertex deletion every search opens with (Fig 7 lines 1–7):
+/// returns the injected `exec.preprocess`, or runs `Preprocess` into
+/// `*local` under a "query.preprocess" span and reports its time as
+/// `stats->preprocess_seconds`. Returns null when a stop fired before the
+/// fixpoint completed: `stats->stopped` then holds the reason, and the
+/// search returns without a search phase.
+inline const PreprocessResult* AcquirePreprocess(
+    const MultiLayerGraph& graph, const DccsParams& params,
+    const DccsExecution& exec, std::optional<PreprocessResult>* local,
+    SearchStats* stats) {
+  if (exec.preprocess != nullptr) return exec.preprocess;
+  obs::Span span(exec.trace, "query.preprocess", exec.trace_parent);
+  const PreprocessResult& built = local->emplace(
+      Preprocess(graph, params.d, params.s, params.vertex_deletion, exec.pool,
+                 /*base_cores=*/nullptr, exec.control));
+  stats->preprocess_seconds = built.seconds;
+  if (built.stopped != QueryStop::kNone) {
+    stats->stopped = built.stopped;
+    return nullptr;
+  }
+  return &built;
+}
 
 /// The one tie-break order every cooperative checkpoint applies
 /// (DESIGN.md §7): cancellation, then wall-clock deadline, then the

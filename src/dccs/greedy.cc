@@ -21,28 +21,17 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
   DccsResult result;
   const auto n = static_cast<size_t>(graph.NumVertices());
 
-  if (params.s > graph.NumLayers()) {
+  std::optional<PreprocessResult> local_preprocess;
+  const PreprocessResult* preprocess = nullptr;
+  if (params.s <= graph.NumLayers()) {
+    preprocess = AcquirePreprocess(graph, params, exec, &local_preprocess,
+                                   &result.stats);
+  }
+  if (preprocess == nullptr) {
     result.stats.total_seconds = total_timer.Seconds();
     return result;
   }
-
   ThreadPool* pool = exec.pool;
-  std::optional<PreprocessResult> local_preprocess;
-  if (exec.preprocess == nullptr) {
-    obs::Span preprocess_span(exec.trace, "query.preprocess",
-                              exec.trace_parent);
-    local_preprocess =
-        Preprocess(graph, params.d, params.s, params.vertex_deletion, pool,
-                   /*base_cores=*/nullptr, exec.control);
-    result.stats.preprocess_seconds = local_preprocess->seconds;
-    if (local_preprocess->stopped != QueryStop::kNone) {
-      result.stats.stopped = local_preprocess->stopped;
-      result.stats.total_seconds = total_timer.Seconds();
-      return result;
-    }
-  }
-  const PreprocessResult& preprocess =
-      exec.preprocess != nullptr ? *exec.preprocess : *local_preprocess;
 
   // The span's stopwatch doubles as the budget clock for check_stop, so
   // the recorded search phase and the budget semantics share one timer.
@@ -125,12 +114,12 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
     Scratch& scratch = arena.scratch;
     const LayerSet& layers = subsets[static_cast<size_t>(i)];
     const VertexSet& first =
-        preprocess.layer_cores[static_cast<size_t>(layers[0])];
+        preprocess->layer_cores[static_cast<size_t>(layers[0])];
     scratch.scope.assign(first.begin(), first.end());
     for (size_t j = 1; j < layers.size() && !scratch.scope.empty(); ++j) {
       IntersectSortedInto(
           scratch.scope,
-          preprocess.layer_cores[static_cast<size_t>(layers[j])],
+          preprocess->layer_cores[static_cast<size_t>(layers[j])],
           &scratch.tmp);
       std::swap(scratch.scope, scratch.tmp);
     }

@@ -117,18 +117,13 @@ InitSeeds ComputeInitSeeds(const MultiLayerGraph& graph,
                            const DccsParams& params,
                            const PreprocessResult& preprocess,
                            DccSolver& solver) {
-  InitSeeds captured;
-  if (!params.init_result) return captured;
+  InitSeeds seeds{CoverageIndex(params.k)};
+  if (!params.init_result) return seeds;
   const int32_t l = graph.NumLayers();
-  if (params.s > l) return captured;
+  if (params.s > l) return seeds;
 
-  // The greedy seeding consults the result set built so far (MarginalGain),
-  // so the capture runs against a private CoverageIndex; replaying the
-  // recorded Update arguments into another fresh index reproduces the
-  // identical state.
-  CoverageIndex result(params.k);
+  CoverageIndex& result = seeds.topk;
   const int64_t calls_before = solver.num_calls();
-  captured.seeds.reserve(static_cast<size_t>(params.k));
   for (int p = 0; p < params.k; ++p) {
     // Seed layer: the d-core with the largest marginal cover gain.
     LayerId best_layer = 0;
@@ -169,26 +164,12 @@ InitSeeds ComputeInitSeeds(const MultiLayerGraph& graph,
           intersection, preprocess.layer_cores[static_cast<size_t>(best_j)]);
     }
     std::sort(chosen.begin(), chosen.end());
-    VertexSet core =
+    const VertexSet core =
         solver.Compute(chosen, params.d, intersection, params.dcc_engine);
     result.Update(core, chosen);
-    captured.seeds.push_back(ResultCore{std::move(chosen), std::move(core)});
   }
-  captured.solver_calls = solver.num_calls() - calls_before;
-  return captured;
-}
-
-void ReplayInitSeeds(const InitSeeds& seeds, CoverageIndex& result) {
-  for (const ResultCore& seed : seeds.seeds) {
-    result.Update(seed.vertices, seed.layers);
-  }
-}
-
-void InitTopK(const MultiLayerGraph& graph, const DccsParams& params,
-              const PreprocessResult& preprocess, DccSolver& solver,
-              CoverageIndex& result) {
-  ReplayInitSeeds(ComputeInitSeeds(graph, params, preprocess, solver),
-                  result);
+  seeds.solver_calls = solver.num_calls() - calls_before;
+  return seeds;
 }
 
 }  // namespace mlcore

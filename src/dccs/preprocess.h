@@ -71,37 +71,27 @@ std::vector<LayerId> SortedLayerOrder(const PreprocessResult& preprocess,
 void PositionsToLayerIds(const std::vector<LayerId>& order,
                          const LayerSet& positions, LayerSet* ids);
 
-/// Captured output of the InitTopK procedure (Appendix D): the candidate
-/// (layers, core) pairs in the order they were offered to the result set,
-/// plus the number of dCC evaluations spent producing them. Replaying the
-/// pairs through `CoverageIndex::Update` reconstructs the exact seeded
-/// state, so an engine can cache the seeds per (d, s, k, engine) and skip
-/// the k·s dCC evaluations on repeat queries (DESIGN.md §5).
+/// Output of the InitTopK procedure (Appendix D): the top-k result set R
+/// greedily seeded with k candidate d-CCs, so that the Eq. (1) pruning rules
+/// engage from the start of the search, plus the number of dCC evaluations
+/// spent seeding it. BU-DCCS and TD-DCCS start from a copy of `topk`, so an
+/// engine can cache the seeds per (d, s, k, engine) and skip the k·s dCC
+/// evaluations on repeat queries (DESIGN.md §5).
 struct InitSeeds {
-  std::vector<ResultCore> seeds;
+  /// A default-constructed InitSeeds holds an empty index; ComputeInitSeeds
+  /// sizes it to params.k.
+  CoverageIndex topk{1};
   int64_t solver_calls = 0;
 };
 
-/// Runs the InitTopK greedy seeding (Appendix D) and returns its captured
-/// form. Deterministic: depends only on (graph, preprocess, params.d,
-/// params.s, params.k, params.dcc_engine). Returns empty seeds when
+/// Runs the InitTopK greedy seeding (Appendix D). Deterministic: depends
+/// only on (graph, preprocess, params.d, params.s, params.k,
+/// params.dcc_engine). `topk` is an empty CoverageIndex(params.k) when
 /// `params.init_result` is false (No-IR) or s > l.
 InitSeeds ComputeInitSeeds(const MultiLayerGraph& graph,
                            const DccsParams& params,
                            const PreprocessResult& preprocess,
                            DccSolver& solver);
-
-/// Replays captured seeds into a (fresh) top-k result set, reproducing the
-/// state ComputeInitSeeds left its internal result set in.
-void ReplayInitSeeds(const InitSeeds& seeds, CoverageIndex& result);
-
-/// The InitTopK procedure (Appendix D): greedily seeds the top-k result set
-/// with k candidate d-CCs so that the Eq. (1) pruning rules engage from the
-/// start of the search. No-op when `params.init_result` is false (No-IR).
-/// `result` must be freshly constructed (empty).
-void InitTopK(const MultiLayerGraph& graph, const DccsParams& params,
-              const PreprocessResult& preprocess, DccSolver& solver,
-              CoverageIndex& result);
 
 }  // namespace mlcore
 

@@ -11,8 +11,10 @@
 #include <vector>
 
 #include "core/dcc.h"
+#include "dccs/concurrent_topk.h"
 #include "dccs/execution.h"
 #include "dccs/params.h"
+#include "dccs/preprocess.h"
 #include "graph/multilayer_graph.h"
 #include "obs/span.h"
 #include "util/task_group.h"
@@ -242,6 +244,75 @@ class SearchLanes {
   // state above goes away.
   std::optional<TaskGroup> group_;
 };
+
+/// d-CC evaluations of one lattice search: those the commit driver used
+/// (the deterministic part of candidates_generated) and the speculative
+/// ones it discarded (thread-count-dependent).
+struct LatticeCalls {
+  int64_t committed = 0;
+  int64_t speculative = 0;
+};
+
+/// The opening BU-DCCS (Fig 7 lines 1–9) and TD-DCCS (Fig 11 lines 1–2)
+/// share, and the bookkeeping around their searches: the s > l and
+/// > 64-layer guards, §IV-C vertex deletion (AcquirePreprocess), InitTopK
+/// (Appendix D: a copy of the injected `exec.seeds`, or computed on lane
+/// 0's solver) and the layer sort (`descending` for BU, ascending for TD).
+/// `search(preprocess, order, arenas, top_k, stats, search_span_id)` then
+/// runs the lattice search from the seeded `top_k` inside the
+/// "query.search" span and returns its LatticeCalls; R is reported under
+/// "query.cover".
+template <typename Scratch, typename Search>
+DccsResult RunLatticeSearch(const MultiLayerGraph& graph,
+                            const DccsParams& params,
+                            const DccsExecution& exec, bool descending,
+                            const Search& search) {
+  // Guaranteed by Engine::Validate on every request path; debug-only so a
+  // malformed direct call still trips in development builds.
+  MLCORE_DCHECK(params.s >= 1);
+  MLCORE_DCHECK(params.k >= 1);
+
+  WallTimer total_timer;
+  DccsResult result;
+  // > 64 layers: the lattice's word-sized position masks cannot represent
+  // the layer subsets. Library callers get the same (empty) result as the
+  // vacuous s > l case; the Engine rejects such requests up front with
+  // kInvalidArgument instead of ever dispatching here (DESIGN.md §5).
+  std::optional<PreprocessResult> local_preprocess;
+  const PreprocessResult* preprocess = nullptr;
+  if (params.s <= graph.NumLayers() && graph.NumLayers() <= 64) {
+    preprocess = AcquirePreprocess(graph, params, exec, &local_preprocess,
+                                   &result.stats);
+  }
+  if (preprocess == nullptr) {
+    result.stats.total_seconds = total_timer.Seconds();
+    return result;
+  }
+
+  obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
+  LaneArenas<Scratch> arenas(graph, exec, exec.search_threads);
+  MLCORE_DCHECK(exec.seeds == nullptr ||
+                exec.seeds->topk.capacity() == params.k);
+  InitSeeds seeds =
+      exec.seeds != nullptr
+          ? *exec.seeds
+          : ComputeInitSeeds(graph, params, *preprocess, *arenas[0].solver);
+  const std::vector<LayerId> order =
+      SortedLayerOrder(*preprocess, descending, params.sort_layers);
+  ConcurrentTopK top_k(std::move(seeds.topk));
+  const LatticeCalls calls = search(*preprocess, order, arenas, top_k,
+                                    result.stats, search_span.id());
+  search_span.End();
+
+  obs::Span cover_span(exec.trace, "query.cover", exec.trace_parent);
+  result.cores = top_k.index().entries();
+  cover_span.End();
+  result.stats.candidates_generated = seeds.solver_calls + calls.committed;
+  result.stats.speculative_evals = calls.speculative;
+  result.stats.search_seconds = search_span.timer().Seconds();
+  result.stats.total_seconds = total_timer.Seconds();
+  return result;
+}
 
 }  // namespace mlcore
 

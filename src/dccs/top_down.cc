@@ -9,14 +9,12 @@
 
 #include "core/dcc.h"
 #include "dccs/concurrent_topk.h"
-#include "dccs/cover.h"
 #include "dccs/preprocess.h"
 #include "dccs/search_lanes.h"
 #include "dccs/vertex_index.h"
 #include "obs/span.h"
 #include "util/bitset.h"
 #include "util/rng.h"
-#include "util/timing.h"
 
 namespace mlcore {
 
@@ -403,90 +401,28 @@ class TopDownSearch {
 
 DccsResult TopDownDccs(const MultiLayerGraph& graph, const DccsParams& params,
                        const DccsExecution& exec) {
-  // Guaranteed by Engine::Validate on every request path; debug-only so a
-  // malformed direct call still trips in development builds.
-  MLCORE_DCHECK(params.s >= 1);
-  MLCORE_DCHECK(params.k >= 1);
-
-  WallTimer total_timer;
-  DccsResult result;
-  if (params.s > graph.NumLayers() || graph.NumLayers() > 64) {
-    // > 64 layers: see BottomUpDccs — empty result here, structured
-    // kInvalidArgument at the Engine request layer.
-    result.stats.total_seconds = total_timer.Seconds();
-    return result;
-  }
-
-  // Fig 11 line 1 = BU-DCCS lines 1–8: vertex deletion + InitTopK, both
-  // replayable from an injected execution (see BottomUpDccs).
-  std::optional<PreprocessResult> local_preprocess;
-  if (exec.preprocess == nullptr) {
-    obs::Span preprocess_span(exec.trace, "query.preprocess",
-                              exec.trace_parent);
-    local_preprocess =
-        Preprocess(graph, params.d, params.s, params.vertex_deletion,
-                   exec.pool, /*base_cores=*/nullptr, exec.control);
-    result.stats.preprocess_seconds = local_preprocess->seconds;
-    if (local_preprocess->stopped != QueryStop::kNone) {
-      result.stats.stopped = local_preprocess->stopped;
-      result.stats.total_seconds = total_timer.Seconds();
-      return result;
-    }
-  }
-  const PreprocessResult& preprocess =
-      exec.preprocess != nullptr ? *exec.preprocess : *local_preprocess;
-
-  obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
-  const WallTimer& search_timer = search_span.timer();
-  LaneArenas<TdScratch> arenas(graph, exec, exec.search_threads);
-  DccSolver& solver = *arenas[0].solver;
-
-  CoverageIndex seeded(params.k);
-  int64_t seed_calls = 0;
-  if (exec.seeded_topk != nullptr) {
-    seeded = *exec.seeded_topk;
-    seed_calls = exec.seeds != nullptr ? exec.seeds->solver_calls : 0;
-  } else if (exec.seeds != nullptr) {
-    ReplayInitSeeds(*exec.seeds, seeded);
-    seed_calls = exec.seeds->solver_calls;
-  } else {
-    const int64_t calls_before = solver.num_calls();
-    InitTopK(graph, params, preprocess, solver, seeded);
-    seed_calls = solver.num_calls() - calls_before;
-  }
-  // Fig 11 line 2: ascending order of |C^d(G_i)| (cached by the Engine per
-  // query entry).
-  std::optional<std::vector<LayerId>> local_order;
-  if (exec.layer_order == nullptr) {
-    local_order =
-        SortedLayerOrder(preprocess, /*descending=*/false, params.sort_layers);
-  }
-  const std::vector<LayerId>& order =
-      exec.layer_order != nullptr ? *exec.layer_order : *local_order;
-  // Fig 11 line 3: the vertex index, whose stages give RefineC's and the
-  // Lemma 7 shortcut's Lemma 8 scope; cached by the engine per (d, s)
-  // because it is built over `preprocess.active`.
-  std::optional<VertexLevelIndex> local_index;
-  if (exec.index == nullptr) {
-    local_index.emplace(graph, params.d, preprocess.active);
-  }
-  const VertexLevelIndex& index =
-      exec.index != nullptr ? *exec.index : *local_index;
-
-  ConcurrentTopK top_k(std::move(seeded));
-  TopDownSearch search(graph, params, preprocess, order, index, exec, arenas,
-                       top_k, result.stats, search_span.id());
-  search.Run();
-  search_span.End();
-
-  obs::Span cover_span(exec.trace, "query.cover", exec.trace_parent);
-  result.cores = top_k.index().entries();
-  cover_span.End();
-  result.stats.candidates_generated = seed_calls + search.committed_calls();
-  result.stats.speculative_evals = search.speculative_calls();
-  result.stats.search_seconds = search_timer.Seconds();
-  result.stats.total_seconds = total_timer.Seconds();
-  return result;
+  // Fig 11 lines 1–2 (RunLatticeSearch: BU-DCCS lines 1–8 and an ascending
+  // layer sort), then the top-down search.
+  return RunLatticeSearch<TdScratch>(
+      graph, params, exec, /*descending=*/false,
+      [&](const PreprocessResult& preprocess,
+          const std::vector<LayerId>& order, LaneArenas<TdScratch>& arenas,
+          ConcurrentTopK& top_k, SearchStats& stats, obs::SpanId span) {
+        // Fig 11 line 3: the vertex index, whose stages give RefineC's and
+        // the Lemma 7 shortcut's Lemma 8 scope; cached by the engine per
+        // (d, s) because it is built over `preprocess.active`.
+        std::optional<VertexLevelIndex> local_index;
+        if (exec.index == nullptr) {
+          local_index.emplace(graph, params.d, preprocess.active);
+        }
+        const VertexLevelIndex& index =
+            exec.index != nullptr ? *exec.index : *local_index;
+        TopDownSearch search(graph, params, preprocess, order, index, exec,
+                             arenas, top_k, stats, span);
+        search.Run();
+        return LatticeCalls{search.committed_calls(),
+                            search.speculative_calls()};
+      });
 }
 
 }  // namespace mlcore

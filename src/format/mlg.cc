@@ -258,8 +258,7 @@ bool ValidLayerCsr(std::span<const int64_t> offsets,
 }  // namespace
 
 Status LoadMlgGraph(const std::string& path, MultiLayerGraph* graph,
-                    MlgLoadStats* stats, obs::Trace* trace,
-                    const MlgReadOptions& options) {
+                    MlgLoadStats* stats, obs::Trace* trace) {
   obs::Span span(trace, "graph.load");
 
   auto file = std::make_shared<util::MmapFile>();
@@ -303,12 +302,9 @@ Status LoadMlgGraph(const std::string& path, MultiLayerGraph* graph,
   }
   const uint8_t* table_bytes = base + header.table_offset;
   const uint64_t table_len = section_count * sizeof(MlgSection);
-  if (options.verify_checksums) {
-    uint64_t checksum = MlgChecksum(&header, kChecksummedHeaderBytes);
-    checksum ^= MlgChecksum(table_bytes, table_len);
-    if (checksum != header.checksum) {
-      return Corrupt(path, "header/section-table checksum mismatch");
-    }
+  if ((MlgChecksum(&header, kChecksummedHeaderBytes) ^
+       MlgChecksum(table_bytes, table_len)) != header.checksum) {
+    return Corrupt(path, "header/section-table checksum mismatch");
   }
 
   std::vector<MlgSection> sections(section_count);
@@ -333,9 +329,8 @@ Status LoadMlgGraph(const std::string& path, MultiLayerGraph* graph,
           section.offset > size || section.length > size - section.offset) {
         return Corrupt(path, where + " out of bounds");
       }
-      if (options.verify_checksums &&
-          MlgChecksum(base + section.offset, section.length) !=
-              section.checksum) {
+      if (MlgChecksum(base + section.offset, section.length) !=
+          section.checksum) {
         return Corrupt(path, where + " checksum mismatch");
       }
       if (half == 0) {

@@ -115,27 +115,19 @@ struct MlgLoadStats {
   int64_t total_edges = 0;
 };
 
-struct MlgReadOptions {
-  /// Verify the per-section and whole-file checksums. Costs one sequential
-  /// sweep of the mapping; disable only for trusted files where first-load
-  /// latency matters more than corruption detection.
-  bool verify_checksums = true;
-};
-
 /// Memory-maps an MLG1 container and materialises a `MultiLayerGraph`
 /// whose adjacency views point into the mapping (zero-copy; the mapping
 /// is owned by the graph and lives as long as any copy sharing it).
 ///
-/// Validates the header, section table, checksums (per options) and the
-/// CSR structural invariants (monotone offsets, in-range sorted neighbour
-/// lists, no self-loops) before any view escapes; corrupt input yields a
-/// structured Status, never a crash. Records `format.load_ms` /
+/// Validates the header, section table, checksums and the CSR structural
+/// invariants (monotone offsets, in-range sorted neighbour lists, no
+/// self-loops) before any view escapes; corrupt input yields a structured
+/// Status, never a crash. Records `format.load_ms` /
 /// `format.mmap_bytes` into obs::Registry::Global() and, when `trace` is
 /// non-null, a "graph.load" span (DESIGN.md §12).
 Status LoadMlgGraph(const std::string& path, MultiLayerGraph* graph,
                     MlgLoadStats* stats = nullptr,
-                    obs::Trace* trace = nullptr,
-                    const MlgReadOptions& options = {});
+                    obs::Trace* trace = nullptr);
 
 }  // namespace mlcore::format
 

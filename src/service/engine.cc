@@ -90,7 +90,7 @@ struct Engine::BaseCoresEntry {
 
 /// Everything reusable for one (d, s, vertex_deletion) key: the §IV-C
 /// vertex-deletion fixpoint, the lazily built §V-C vertex index, and the
-/// InitTopK seed captures keyed by (k, dcc_engine).
+/// InitTopK seeded top-k sets keyed by (k, dcc_engine).
 ///
 /// The fixpoint build is cancellable, so it cannot sit behind a
 /// once_flag (a cancelled builder would latch the flag with a torn
@@ -115,17 +115,6 @@ struct Engine::QueryEntry {
   util::Mutex seeds_mu{util::lock_rank::kQuerySeeds, "QueryEntry::seeds_mu"};
   std::map<std::pair<int, int>, std::shared_ptr<const InitSeeds>> seeds
       MLCORE_GUARDED_BY(seeds_mu);
-  /// Replayed CoverageIndex prototype per seeds key: the state a fresh
-  /// top-k has after ReplayInitSeeds, so warm queries (parallel or not)
-  /// start from a copy instead of re-running the replay loop.
-  std::map<std::pair<int, int>, std::shared_ptr<const CoverageIndex>> seeded
-      MLCORE_GUARDED_BY(seeds_mu);
-
-  /// Cached SortedLayerOrder for sort_layers queries: descending
-  /// |C^d(G_i)| (BU) and ascending (TD), built over `preprocess` on first
-  /// use.
-  std::once_flag order_desc_once, order_asc_once;
-  std::vector<LayerId> order_desc, order_asc;
 };
 
 /// One submitted query: request + scheduling state + terminal result. The
@@ -1027,9 +1016,8 @@ Expected<DccsResult> Engine::RunValidated(
                      "deadline expired before the search phase");
   }
   std::shared_ptr<const InitSeeds> seeds;
-  std::shared_ptr<const CoverageIndex> seeded_topk;
   if (algorithm != DccsAlgorithm::kGreedy && params.init_result) {
-    seeds = GetSeeds(graph, *entry, params, *solver->get(), &seeded_topk);
+    seeds = GetSeeds(graph, *entry, params, *solver->get());
   }
   const VertexLevelIndex* index = nullptr;
   if (algorithm == DccsAlgorithm::kTopDown) {
@@ -1041,7 +1029,6 @@ Expected<DccsResult> Engine::RunValidated(
   DccsExecution exec;
   exec.preprocess = &entry->preprocess;
   exec.seeds = seeds.get();
-  exec.seeded_topk = seeded_topk.get();
   exec.index = index;
   exec.solver = solver.has_value() ? solver->get() : nullptr;
   exec.pool = &pool_;
@@ -1056,19 +1043,14 @@ Expected<DccsResult> Engine::RunValidated(
     };
   }
 
-  // Parallel search phase (DESIGN.md §10): the lattice searches reuse the
-  // entry's cached layer order and borrow worker lanes from the engine-wide
-  // budget. How many lanes a query actually gets cannot change its result
-  // (the §4/§10 determinism contract), so the borrow needs no fairness —
-  // whatever is free right now.
+  // Parallel search phase (DESIGN.md §10): the lattice searches borrow
+  // worker lanes from the engine-wide budget. How many lanes a query
+  // actually gets cannot change its result (the §4/§10 determinism
+  // contract), so the borrow needs no fairness — whatever is free right now.
   int extra_lanes = 0;
   const bool lattice_search = algorithm == DccsAlgorithm::kBottomUp ||
                               algorithm == DccsAlgorithm::kTopDown;
   if (lattice_search) {
-    if (params.sort_layers) {
-      exec.layer_order = GetLayerOrder(
-          *entry, /*descending=*/algorithm == DccsAlgorithm::kBottomUp);
-    }
     extra_lanes = BorrowSearchLanes(options_.search_threads - 1);
     exec.search_threads = 1 + extra_lanes;
     if (extra_lanes > 0) {
@@ -1295,25 +1277,18 @@ std::shared_ptr<Engine::QueryEntry> Engine::GetQueryEntry(
 
 std::shared_ptr<const InitSeeds> Engine::GetSeeds(
     const MultiLayerGraph& graph, QueryEntry& entry, const DccsParams& params,
-    DccSolver& solver, std::shared_ptr<const CoverageIndex>* seeded_topk) {
+    DccSolver& solver) {
   const std::pair<int, int> key{params.k,
                                 static_cast<int>(params.dcc_engine)};
   util::MutexLock lock(entry.seeds_mu);
   auto it = entry.seeds.find(key);
   if (it != entry.seeds.end()) {
-    *seeded_topk = entry.seeded.at(key);
     metrics_.seed_hits->Add(1);
     return it->second;
   }
-  auto seeds = std::make_shared<InitSeeds>(
+  auto seeds = std::make_shared<const InitSeeds>(
       ComputeInitSeeds(graph, params, entry.preprocess, solver));
-  // The prototype is cached alongside the capture it was replayed from —
-  // one replay per key ever; every query starts from a copy.
-  auto proto = std::make_shared<CoverageIndex>(params.k);
-  ReplayInitSeeds(*seeds, *proto);
   entry.seeds[key] = seeds;
-  entry.seeded[key] = proto;
-  *seeded_topk = std::move(proto);
   metrics_.seed_misses->Add(1);
   return seeds;
 }
@@ -1332,18 +1307,6 @@ const VertexLevelIndex* Engine::GetIndex(const MultiLayerGraph& graph,
     metrics_.index_hits->Add(1);
   }
   return entry.index.get();
-}
-
-const std::vector<LayerId>* Engine::GetLayerOrder(QueryEntry& entry,
-                                                  bool descending) {
-  std::call_once(descending ? entry.order_desc_once : entry.order_asc_once,
-                 [&] {
-                   auto& slot =
-                       descending ? entry.order_desc : entry.order_asc;
-                   slot = SortedLayerOrder(entry.preprocess, descending,
-                                           /*sort_layers=*/true);
-                 });
-  return descending ? &entry.order_desc : &entry.order_asc;
 }
 
 int Engine::BorrowSearchLanes(int want) {

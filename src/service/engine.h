@@ -208,9 +208,10 @@ struct SubscriptionOptions {
 ///
 ///  * a preprocessing cache keyed on what each stage actually depends on:
 ///    full-graph per-layer d-cores by `d`; the §IV-C vertex-deletion
-///    fixpoint, the §V-C vertex index and the InitTopK seeds by
+///    fixpoint, the §V-C vertex index and the InitTopK seeded top-k by
 ///    (d, s, vertex_deletion) — the latter two because they are built over
-///    the surviving vertex set (the seeds additionally by (k, dcc_engine)).
+///    the surviving vertex set (the seeded top-k additionally by
+///    (k, dcc_engine); every BU/TD query starts from a copy of it).
 ///    A repeat query with the same (d, s) skips vertex deletion entirely;
 ///    a query with a cached `d` but new `s` skips the first (full-graph)
 ///    deletion round.
@@ -532,21 +533,14 @@ class Engine {
   std::shared_ptr<QueryEntry> GetQueryEntry(
       const std::shared_ptr<const GraphSnapshot>& snap, int d, int s,
       bool vertex_deletion, const QueryControl* control, QueryStop* stop);
-  /// Seeds for (k, dcc_engine), plus the already-replayed CoverageIndex
-  /// prototype the same key (satellite cache of DESIGN.md §10): BU/TD
-  /// start from a copy of `*seeded_topk` and skip the per-query replay.
-  std::shared_ptr<const InitSeeds> GetSeeds(
-      const MultiLayerGraph& graph, QueryEntry& entry,
-      const DccsParams& params, DccSolver& solver,
-      std::shared_ptr<const CoverageIndex>* seeded_topk);
+  /// The entry's InitTopK seeds for (k, dcc_engine), computed on `solver`
+  /// on first use: BU/TD start from a copy of the cached seeded top-k.
+  std::shared_ptr<const InitSeeds> GetSeeds(const MultiLayerGraph& graph,
+                                            QueryEntry& entry,
+                                            const DccsParams& params,
+                                            DccSolver& solver);
   const VertexLevelIndex* GetIndex(const MultiLayerGraph& graph,
                                    QueryEntry& entry, int d);
-  /// Cached SortedLayerOrder over the entry's preprocessing (descending
-  /// |C^d(G_i)| for BU, ascending for TD). Only meaningful for queries
-  /// with sort_layers = true; the returned pointer is stable for the
-  /// entry's lifetime.
-  const std::vector<LayerId>* GetLayerOrder(QueryEntry& entry,
-                                            bool descending);
 
   /// Engine-wide extra-lane budget for parallel searches (Options::
   /// search_threads): borrows up to `want` lanes, returning how many were

@@ -336,5 +336,71 @@ TEST(DccsTest, StatsAccounting) {
   EXPECT_GT(td.stats.nodes_visited, 0);
 }
 
+// The free functions run self-contained by default; a host (the Engine,
+// perfbench's decomposed runs) injects the §IV-C preprocessing, the
+// InitTopK seeds, the §V-C index and a solver it built itself. Both forms
+// must give the same cores and the same search counters.
+TEST(DccsTest, InjectedExecutionMatchesSelfContained) {
+  MultiLayerGraph graph = SmallPlanted(91, 160, 6);
+  for (DccsAlgorithm algorithm :
+       {DccsAlgorithm::kGreedy, DccsAlgorithm::kBottomUp,
+        DccsAlgorithm::kTopDown}) {
+    for (int s : {2, 4}) {
+      for (bool sort_layers : {true, false}) {
+        for (bool init_result : {true, false}) {
+          DccsParams params;
+          params.d = 3;
+          params.s = s;
+          params.k = 4;
+          params.sort_layers = sort_layers;
+          params.init_result = init_result;
+          const std::string label =
+              AlgorithmName(algorithm) + " s=" + std::to_string(s) +
+              " sort_layers=" + std::to_string(sort_layers) +
+              " init_result=" + std::to_string(init_result);
+
+          const PreprocessResult pre = Preprocess(
+              graph, params.d, params.s, params.vertex_deletion);
+          DccSolver solver(graph);
+          const InitSeeds seeds =
+              ComputeInitSeeds(graph, params, pre, solver);
+          const VertexLevelIndex index(graph, params.d, pre.active);
+          DccsExecution exec;
+          exec.preprocess = &pre;
+          exec.seeds =
+              algorithm != DccsAlgorithm::kGreedy ? &seeds : nullptr;
+          exec.index = &index;
+          exec.solver = &solver;
+
+          DccsResult self_contained;
+          DccsResult injected;
+          switch (algorithm) {
+            case DccsAlgorithm::kGreedy:
+              self_contained = GreedyDccs(graph, params);
+              injected = GreedyDccs(graph, params, exec);
+              break;
+            case DccsAlgorithm::kBottomUp:
+              self_contained = BottomUpDccs(graph, params);
+              injected = BottomUpDccs(graph, params, exec);
+              break;
+            default:
+              self_contained = TopDownDccs(graph, params);
+              injected = TopDownDccs(graph, params, exec);
+              break;
+          }
+          EXPECT_FALSE(self_contained.cores.empty()) << label;
+          EXPECT_EQ(injected.cores, self_contained.cores) << label;
+          EXPECT_EQ(injected.stats.candidates_generated,
+                    self_contained.stats.candidates_generated)
+              << label;
+          EXPECT_EQ(injected.stats.nodes_visited,
+                    self_contained.stats.nodes_visited)
+              << label;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mlcore

@@ -113,10 +113,13 @@ TEST(EngineTest, CacheHitsMatchColdRuns) {
     Expected<DccsResult> warm = engine.Run(request);
     ASSERT_TRUE(cold.ok());
     ASSERT_TRUE(warm.ok());
-    // Identical cores AND identical search-effort statistics: the replayed
-    // InitTopK seeds account their recorded dCC evaluations.
+    // Identical cores AND identical search-effort statistics: a warm run
+    // starts from a copy of the cached seeded top-k, whose solver_calls
+    // account the dCC evaluations spent seeding it.
     ExpectSameCores(*warm, *cold, "warm vs cold");
     EXPECT_EQ(warm->stats.nodes_visited, cold->stats.nodes_visited);
+    EXPECT_EQ(warm->stats.candidates_generated,
+              cold->stats.candidates_generated);
   }
 
   EngineCacheStats stats = engine.cache_stats();

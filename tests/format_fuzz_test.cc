@@ -1,7 +1,7 @@
 // Seeded mutation fuzzer for the three input formats a deployment reads
-// from disk: MLG1 containers (LoadMlgGraph, with and without checksum
-// verification), text graphs (LoadMultiLayerGraph) and edge-update streams
-// (LoadUpdateStream). Each case mutates a small valid file by bit flips,
+// from disk: MLG1 containers (LoadMlgGraph, as mutated and with the
+// checksums re-stamped, as a crafted file would carry them), text graphs
+// (LoadMultiLayerGraph) and edge-update streams (LoadUpdateStream). Each case mutates a small valid file by bit flips,
 // truncation or appended bytes under a fixed seed. Every mutant must either
 // come back as an error status, or load into something that keeps the
 // format's invariants and round-trips through its writer. The suite name
@@ -21,6 +21,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/multilayer_graph.h"
+#include "mlg_restamp.h"
 #include "store/update.h"
 #include "test_temp.h"
 #include "util/rng.h"
@@ -129,41 +130,46 @@ void ExpectMlgRoundTrip(const MultiLayerGraph& graph,
 MultiLayerGraph FuzzGraph() { return GenerateErdosRenyi(48, 3, 0.12, 17); }
 
 /// Runs kMutantsPerSeed mutants of `original` per seed through `check`,
-/// which loads the mutant at `path` and verifies whatever loaded.
+/// which loads the mutant at `path` and verifies whatever loaded. A
+/// non-null `fix` edits each mutant before it is written.
 template <typename Check>
 void FuzzFile(const std::vector<char>& original, const std::string& path,
-              const Check& check) {
+              const Check& check,
+              void (*fix)(std::vector<char>*) = nullptr) {
   ASSERT_FALSE(original.empty());
   for (uint64_t seed : kSeeds) {
     Rng rng(seed);
     for (int i = 0; i < kMutantsPerSeed; ++i) {
-      WriteBytes(path, Mutate(original, rng));
+      std::vector<char> mutant = Mutate(original, rng);
+      if (fix != nullptr) fix(&mutant);
+      WriteBytes(path, mutant);
       check("seed=" + std::to_string(seed) + " mutant=" + std::to_string(i));
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
 }
 
-void FuzzMlg(bool verify_checksums) {
+void FuzzMlg(void (*fix)(std::vector<char>*)) {
   const std::string base = TestTempPath("base.mlg");
   ASSERT_TRUE(format::WriteMlgGraph(FuzzGraph(), base).ok());
   const std::string path = TestTempPath("mutant.mlg");
-  format::MlgReadOptions options;
-  options.verify_checksums = verify_checksums;
-  FuzzFile(ReadBytes(base), path, [&](const std::string& label) {
-    MultiLayerGraph graph;
-    if (!format::LoadMlgGraph(path, &graph, nullptr, nullptr, options).ok()) {
-      return;
-    }
-    ExpectCsrInvariants(graph, label);
-    ExpectMlgRoundTrip(graph, label);
-  });
+  FuzzFile(
+      ReadBytes(base), path,
+      [&](const std::string& label) {
+        MultiLayerGraph graph;
+        if (!format::LoadMlgGraph(path, &graph).ok()) return;
+        ExpectCsrInvariants(graph, label);
+        ExpectMlgRoundTrip(graph, label);
+      },
+      fix);
 }
 
-TEST(FormatFuzzTest, MlgMutantsAreRejectedOrValid) { FuzzMlg(true); }
+TEST(FormatFuzzTest, MlgMutantsAreRejectedOrValid) { FuzzMlg(nullptr); }
 
-TEST(FormatFuzzTest, UnchecksummedMlgMutantsAreRejectedOrValid) {
-  FuzzMlg(false);
+// A mutant with re-stamped checksums passes the checksum checks, so only
+// the structural validation stands between it and the graph.
+TEST(FormatFuzzTest, RestampedMlgMutantsAreRejectedOrValid) {
+  FuzzMlg(RestampMlgChecksums);
 }
 
 TEST(FormatFuzzTest, TextGraphMutantsAreRejectedOrValid) {

@@ -25,6 +25,7 @@
 #include "graph/graph_builder.h"
 #include "graph/io.h"
 #include "graph/multilayer_graph.h"
+#include "mlg_restamp.h"
 #include "obs/span.h"
 #include "store/graph_store.h"
 #include "test_temp.h"
@@ -211,17 +212,12 @@ class FormatCorruptionTest : public testing::Test {
     return value;
   }
 
-  /// Patches 8 bytes at `offset` and recomputes the header checksum so the
-  /// tamper survives the whole-file check and reaches deeper validation.
+  /// Patches 8 bytes at `offset` and re-stamps the checksums so the
+  /// tamper survives the checksum checks and reaches deeper validation.
   std::vector<char> PatchedWithValidChecksum(size_t offset, uint64_t value) {
     std::vector<char> patched = bytes_;
     std::memcpy(patched.data() + offset, &value, sizeof(value));
-    const uint64_t table_offset = ReadU64(40);
-    const uint64_t table_len = bytes_.size() - table_offset;
-    const uint64_t checksum =
-        format::MlgChecksum(patched.data(), 48) ^
-        format::MlgChecksum(patched.data() + table_offset, table_len);
-    std::memcpy(patched.data() + 48, &checksum, sizeof(checksum));
+    RestampMlgChecksums(&patched);
     return patched;
   }
 
@@ -289,18 +285,13 @@ TEST_F(FormatCorruptionTest, TamperedSectionTableFailsFileChecksum) {
   ExpectRejected(mangled);
 }
 
-TEST_F(FormatCorruptionTest, CorruptCsrStructureIsRejectedEvenUnchecksummed) {
-  // With checksums off, the structural CSR validation is the last line of
-  // defence: break monotonicity of layer 0's offsets array.
-  std::vector<char> mangled = bytes_;
-  const int64_t bogus = -1;
-  std::memcpy(mangled.data() + 64 + 8, &bogus, sizeof(bogus));
-  WriteAllBytes(path_, mangled);
+TEST_F(FormatCorruptionTest, CorruptCsrStructureWithValidChecksumsIsRejected) {
+  // A crafted file carries valid checksums, so the structural CSR
+  // validation is the last line of defence: break monotonicity of layer 0's
+  // offsets array and re-stamp the checksums.
+  WriteAllBytes(path_, PatchedWithValidChecksum(64 + 8, UINT64_MAX));  // -1
   MultiLayerGraph graph;
-  format::MlgReadOptions options;
-  options.verify_checksums = false;
-  const Status status = format::LoadMlgGraph(path_, &graph, nullptr, nullptr,
-                                             options);
+  const Status status = format::LoadMlgGraph(path_, &graph);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message.find("CSR"), std::string::npos) << status.message;
 }

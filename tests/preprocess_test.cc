@@ -83,8 +83,8 @@ TEST(PreprocessTest, InitTopKSeedsKResults) {
   params.k = 3;
   PreprocessResult pre = Preprocess(graph, params.d, params.s, true);
   DccSolver solver(graph);
-  CoverageIndex index(params.k);
-  InitTopK(graph, params, pre, solver, index);
+  const CoverageIndex index =
+      ComputeInitSeeds(graph, params, pre, solver).topk;
   EXPECT_EQ(index.size(), params.k);
   index.CheckInvariants();
   // Every seeded entry must be a genuine d-CC with |L| = s.
@@ -100,8 +100,8 @@ TEST(PreprocessTest, InitTopKDisabled) {
   params.init_result = false;
   PreprocessResult pre = Preprocess(graph, params.d, params.s, true);
   DccSolver solver(graph);
-  CoverageIndex index(params.k);
-  InitTopK(graph, params, pre, solver, index);
+  const CoverageIndex index =
+      ComputeInitSeeds(graph, params, pre, solver).topk;
   EXPECT_EQ(index.size(), 0);
 }
 
