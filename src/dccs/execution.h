@@ -24,7 +24,7 @@ namespace mlcore {
 /// mutated (the solver and pool are mutated but owned-elsewhere scratch).
 /// Injected state must match the query: `preprocess` must be the §IV-C
 /// output for (d, s, vertex_deletion), `seeds` the ComputeInitSeeds output
-/// for (d, s, k, dcc_engine) over that preprocessing, and `index` the §V-C
+/// for (d, s, k) over that preprocessing, and `index` the §V-C
 /// vertex index built over `preprocess->active` with threshold d. The
 /// algorithms MLCORE_DCHECK what they cheaply can; semantic agreement is the
 /// injector's contract.

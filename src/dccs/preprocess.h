@@ -75,7 +75,7 @@ void PositionsToLayerIds(const std::vector<LayerId>& order,
 /// greedily seeded with k candidate d-CCs, so that the Eq. (1) pruning rules
 /// engage from the start of the search, plus the number of dCC evaluations
 /// spent seeding it. BU-DCCS and TD-DCCS start from a copy of `topk`, so an
-/// engine can cache the seeds per (d, s, k, engine) and skip the k·s dCC
+/// engine can cache the seeds per (d, s, k) and skip the k·s dCC
 /// evaluations on repeat queries (DESIGN.md §5).
 struct InitSeeds {
   /// A default-constructed InitSeeds holds an empty index; ComputeInitSeeds
@@ -85,8 +85,9 @@ struct InitSeeds {
 };
 
 /// Runs the InitTopK greedy seeding (Appendix D). Deterministic: depends
-/// only on (graph, preprocess, params.d, params.s, params.k,
-/// params.dcc_engine). `topk` is an empty CoverageIndex(params.k) when
+/// only on (graph, preprocess, params.d, params.s, params.k);
+/// params.dcc_engine picks the kernel, and both kernels compute the same
+/// unique d-CCs. `topk` is an empty CoverageIndex(params.k) when
 /// `params.init_result` is false (No-IR) or s > l.
 InitSeeds ComputeInitSeeds(const MultiLayerGraph& graph,
                            const DccsParams& params,

@@ -1,7 +1,6 @@
 #include "service/engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <deque>
 #include <iterator>
 #include <mutex>
@@ -9,7 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "core/dcore.h"
 #include "core/fds.h"
 #include "dccs/bottom_up.h"
 #include "dccs/execution.h"
@@ -31,21 +29,6 @@ Engine::Options Sanitize(Engine::Options options) {
   options.max_pending_queries = std::max(1, options.max_pending_queries);
   options.search_threads = std::max(1, options.search_threads);
   return options;
-}
-
-/// Evicts the least-recently-used keys of `entries` down to `capacity`.
-/// Entries are shared_ptr payloads, so queries still holding one keep it
-/// alive past eviction.
-template <typename Map, typename UseMap>
-void EvictLru(Map& entries, UseMap& last_use, size_t capacity) {
-  while (entries.size() > capacity) {
-    auto victim = last_use.begin();
-    for (auto it = last_use.begin(); it != last_use.end(); ++it) {
-      if (it->second < victim->second) victim = it;
-    }
-    entries.erase(victim->first);
-    last_use.erase(victim);
-  }
 }
 
 /// Slow-query-log label: the request's shape. Parameter values belong in
@@ -72,50 +55,14 @@ std::string DescribeRequest(const DccsRequest& request,
          " s=" + std::to_string(p.s) + " k=" + std::to_string(p.k);
 }
 
+/// kCancelled or kDeadlineExceeded for a query stopped `where`.
+Status StopStatus(QueryStop stop, const std::string& where) {
+  return stop == QueryStop::kCancelled
+             ? Status::Cancelled("query cancelled " + where)
+             : Status::DeadlineExceeded("deadline expired " + where);
+}
+
 }  // namespace
-
-/// Full-graph per-layer d-cores for one (d, generation) key
-/// (DCore(graph, i, d) in slot i, for the snapshot the entry was built
-/// against). `layer_gens`/`num_vertices` record what the build saw, so a
-/// later epoch's miss can copy the layers whose content is unchanged
-/// instead of recomputing them (DESIGN.md §8); `ready` gates that reuse
-/// (an entry is only read across builds after its once-block published).
-struct Engine::BaseCoresEntry {
-  std::once_flag once;
-  std::atomic<bool> ready{false};
-  int32_t num_vertices = 0;
-  std::vector<uint64_t> layer_gens;
-  std::vector<VertexSet> cores;
-};
-
-/// Everything reusable for one (d, s, vertex_deletion) key: the §IV-C
-/// vertex-deletion fixpoint, the lazily built §V-C vertex index, and the
-/// InitTopK seeded top-k sets keyed by (k, dcc_engine).
-///
-/// The fixpoint build is cancellable, so it cannot sit behind a
-/// once_flag (a cancelled builder would latch the flag with a torn
-/// payload). Instead `ready`/`building` under `mu` implement
-/// build-or-wait-with-retry: exactly one query builds at a time, a build
-/// abandoned by cancellation publishes nothing (`ready` stays false) and
-/// the next query rebuilds, and waiters poll their own controls so a
-/// cancelled waiter leaves promptly. `ready` is written once, under `mu`,
-/// before any reader dereferences `preprocess`.
-struct Engine::QueryEntry {
-  util::Mutex mu{util::lock_rank::kQueryEntry, "QueryEntry::mu"};
-  util::CondVar cv;
-  bool ready MLCORE_GUARDED_BY(mu) = false;
-  bool building MLCORE_GUARDED_BY(mu) = false;
-  // Publish-once: written under `mu` before `ready` flips, read lock-free
-  // by every query after observing `ready` — deliberately unannotated.
-  PreprocessResult preprocess;
-
-  std::once_flag index_once;
-  std::unique_ptr<VertexLevelIndex> index;
-
-  util::Mutex seeds_mu{util::lock_rank::kQuerySeeds, "QueryEntry::seeds_mu"};
-  std::map<std::pair<int, int>, std::shared_ptr<const InitSeeds>> seeds
-      MLCORE_GUARDED_BY(seeds_mu);
-};
 
 /// One submitted query: request + scheduling state + terminal result. The
 /// handle and the engine share it; `done`/`result` are guarded by `mu` and
@@ -207,30 +154,12 @@ struct Engine::SubscriptionState {
   std::deque<BufferedRevision> buffer MLCORE_GUARDED_BY(mu);
 };
 
-/// RAII hold on one free-list solver, bound to one snapshot's graph.
-class Engine::SolverLease {
- public:
-  SolverLease(Engine* engine, std::shared_ptr<const MultiLayerGraph> graph)
-      : engine_(engine),
-        graph_(std::move(graph)),
-        solver_(engine->AcquireSolver(graph_)) {}
-  ~SolverLease() {
-    engine_->ReleaseSolver(std::move(graph_), std::move(solver_));
-  }
-  SolverLease(const SolverLease&) = delete;
-  SolverLease& operator=(const SolverLease&) = delete;
-
-  DccSolver* get() const { return solver_.get(); }
-
- private:
-  Engine* engine_;
-  std::shared_ptr<const MultiLayerGraph> graph_;
-  std::unique_ptr<DccSolver> solver_;
-};
-
-/// Lane-indexed solver arenas for GD-DCCS candidate generation, drawn from
-/// (and returned to) the engine free-list. Thread-safe: pool workers call
-/// Get concurrently.
+/// One query's lane-indexed solver arenas, drawn lazily from (and returned
+/// to) the engine free-list. Solvers are bound to one graph object, so the
+/// free-list is homogeneous per snapshot: a lane on another graph builds a
+/// fresh solver, and returning solvers for the *current* snapshot's graph
+/// flushes stale ones (idle solvers never pin an old snapshot).
+/// Thread-safe: lanes call Get concurrently.
 class Engine::WorkerSolvers {
  public:
   WorkerSolvers(Engine* engine, std::shared_ptr<const MultiLayerGraph> graph,
@@ -239,9 +168,24 @@ class Engine::WorkerSolvers {
         graph_(std::move(graph)),
         held_(static_cast<size_t>(lanes)) {}
   ~WorkerSolvers() {
+    util::MutexLock lock(engine_->solver_mu_);
+    if (engine_->free_graph_ != graph_) {
+      const std::shared_ptr<const MultiLayerGraph> current =
+          engine_->store_->snapshot()->graph_ptr();
+      if (graph_ != current) {
+        // Our solvers are stale and die here; so does a stale free-list.
+        if (engine_->free_graph_ != current) {
+          engine_->free_solvers_.clear();
+          engine_->free_graph_.reset();
+        }
+        return;
+      }
+      engine_->free_solvers_.clear();
+      engine_->free_graph_ = graph_;
+    }
     for (auto& solver : held_) {
       if (solver != nullptr) {
-        engine_->ReleaseSolver(graph_, std::move(solver));
+        engine_->free_solvers_.push_back(std::move(solver));
       }
     }
   }
@@ -251,7 +195,14 @@ class Engine::WorkerSolvers {
   DccSolver* Get(int worker) {
     util::MutexLock lock(mu_);
     auto& slot = held_[static_cast<size_t>(worker)];
-    if (slot == nullptr) slot = engine_->AcquireSolver(graph_);
+    if (slot == nullptr) {
+      util::MutexLock free_lock(engine_->solver_mu_);
+      if (engine_->free_graph_ == graph_ && !engine_->free_solvers_.empty()) {
+        slot = std::move(engine_->free_solvers_.back());
+        engine_->free_solvers_.pop_back();
+      }
+    }
+    if (slot == nullptr) slot = std::make_unique<DccSolver>(*graph_);
     return slot.get();
   }
 
@@ -276,7 +227,8 @@ Engine::Engine(std::shared_ptr<GraphStore> store, Options options)
     : store_(std::move(store)),
       options_(Sanitize(options)),
       pool_(options_.num_threads),
-      pending_(static_cast<size_t>(options_.max_pending_queries)) {
+      pending_(static_cast<size_t>(options_.max_pending_queries)),
+      cache_(registry_, pool_, options_.max_cached_queries) {
   // NOLINT(mlcore-release-check): constructor contract.
   MLCORE_CHECK(store_ != nullptr);
   search_lanes_free_.store(options_.search_threads - 1,
@@ -491,16 +443,6 @@ bool Engine::Admit(const std::shared_ptr<QueryTask>& task) {
   return true;
 }
 
-std::vector<QueryHandle> Engine::SubmitBatch(
-    std::span<const DccsRequest> requests, const SubmitOptions& options) {
-  std::vector<QueryHandle> handles;
-  handles.reserve(requests.size());
-  for (const DccsRequest& request : requests) {
-    handles.push_back(Submit(request, options));
-  }
-  return handles;
-}
-
 Expected<DccsResult> Engine::Run(const DccsRequest& request) {
   // Submit + Wait: the calling thread immediately claims its own query if
   // no worker got there first, so synchronous callers keep the historical
@@ -694,9 +636,10 @@ Expected<CommunitySearchResult> Engine::FindCommunity(
   }
   if (request.s > graph.NumLayers()) return CommunitySearchResult{};
 
-  std::shared_ptr<const BaseCoresEntry> base = GetBaseCores(snap, request.d);
-  SolverLease solver(this, snap->graph_ptr());
-  return SearchCommunityWithCores(graph, base->cores, *solver.get(),
+  std::shared_ptr<const std::vector<VertexSet>> base =
+      cache_.BaseCores(snap, request.d);
+  WorkerSolvers solvers(this, snap->graph_ptr(), 1);
+  return SearchCommunityWithCores(graph, *base, *solvers.Get(0),
                                   request.query, request.d, request.s);
 }
 
@@ -990,76 +933,50 @@ Expected<DccsResult> Engine::RunValidated(
   // is supplied, so this is *the* preprocess span of an engine query.
   obs::Span acquire_span(trace, "query.preprocess", run_span.id());
   QueryStop stop = QueryStop::kNone;
-  std::shared_ptr<QueryEntry> entry = GetQueryEntry(
+  std::shared_ptr<QueryCache::Entry> entry = cache_.Acquire(
       snap, params.d, params.s, params.vertex_deletion, control, &stop);
-  if (entry == nullptr) {
-    // Stopped before preprocessing published: nothing was cached, nothing
-    // can be served. (A deadline this early has no anytime prefix.)
-    return stop == QueryStop::kCancelled
-               ? Status::Cancelled("query cancelled during preprocessing")
-               : Status::DeadlineExceeded(
-                     "deadline expired during preprocessing");
-  }
-  // GD draws all its lane solvers from WorkerSolvers and has no InitTopK
-  // stage, so only the other paths lease a free-list solver.
-  std::optional<SolverLease> solver;
-  if (algorithm != DccsAlgorithm::kGreedy) {
-    solver.emplace(this, snap->graph_ptr());
-  }
+  // Stopped before preprocessing published: nothing was cached, nothing
+  // can be served. (A deadline this early has no anytime prefix.)
+  if (entry == nullptr) return StopStatus(stop, "during preprocessing");
   // Checkpoint between preprocessing and the seed/index builds (each of
   // which always publishes a complete artifact once started).
-  if (control != nullptr &&
-      (stop = control->Check()) != QueryStop::kNone) {
-    return stop == QueryStop::kCancelled
-               ? Status::Cancelled("query cancelled before the search phase")
-               : Status::DeadlineExceeded(
-                     "deadline expired before the search phase");
-  }
-  std::shared_ptr<const InitSeeds> seeds;
-  if (algorithm != DccsAlgorithm::kGreedy && params.init_result) {
-    seeds = GetSeeds(graph, *entry, params, *solver->get());
-  }
-  const VertexLevelIndex* index = nullptr;
-  if (algorithm == DccsAlgorithm::kTopDown) {
-    index = GetIndex(graph, *entry, params.d);
-  }
-  const double acquire_seconds = acquire_span.wall_seconds();
-  acquire_span.End();
-
-  DccsExecution exec;
-  exec.preprocess = &entry->preprocess;
-  exec.seeds = seeds.get();
-  exec.index = index;
-  exec.solver = solver.has_value() ? solver->get() : nullptr;
-  exec.pool = &pool_;
-  exec.control = control;
-  exec.trace = trace;
-  exec.trace_parent = run_span.id();
-  std::optional<WorkerSolvers> worker_solvers;
-  if (algorithm == DccsAlgorithm::kGreedy) {
-    worker_solvers.emplace(this, snap->graph_ptr(), pool_.num_threads());
-    exec.worker_solver = [&ws = *worker_solvers](int worker) {
-      return ws.Get(worker);
-    };
+  if (control != nullptr && (stop = control->Check()) != QueryStop::kNone) {
+    return StopStatus(stop, "before the search phase");
   }
 
   // Parallel search phase (DESIGN.md §10): the lattice searches borrow
   // worker lanes from the engine-wide budget. How many lanes a query
   // actually gets cannot change its result (the §4/§10 determinism
   // contract), so the borrow needs no fairness — whatever is free right now.
-  int extra_lanes = 0;
   const bool lattice_search = algorithm == DccsAlgorithm::kBottomUp ||
                               algorithm == DccsAlgorithm::kTopDown;
-  if (lattice_search) {
-    extra_lanes = BorrowSearchLanes(options_.search_threads - 1);
-    exec.search_threads = 1 + extra_lanes;
-    if (extra_lanes > 0) {
-      worker_solvers.emplace(this, snap->graph_ptr(), 1 + extra_lanes);
-      exec.worker_solver = [&ws = *worker_solvers](int worker) {
-        return ws.Get(worker);
-      };
-    }
+  const int extra_lanes =
+      lattice_search ? BorrowSearchLanes(options_.search_threads - 1) : 0;
+  // One solver per lane: GD evaluates candidates on every pool lane, BU/TD
+  // search on theirs and seed InitTopK on lane 0's.
+  WorkerSolvers solvers(this, snap->graph_ptr(),
+                        lattice_search ? 1 + extra_lanes : pool_.num_threads());
+  const InitSeeds* seeds = nullptr;
+  if (lattice_search && params.init_result) {
+    seeds = &cache_.Seeds(*entry, graph, params, *solvers.Get(0));
   }
+  const VertexLevelIndex* index = nullptr;
+  if (algorithm == DccsAlgorithm::kTopDown) {
+    index = &cache_.Index(*entry, graph, params.d);
+  }
+  const double acquire_seconds = acquire_span.wall_seconds();
+  acquire_span.End();
+
+  DccsExecution exec;
+  exec.preprocess = &QueryCache::Fixpoint(*entry);
+  exec.seeds = seeds;
+  exec.index = index;
+  exec.pool = &pool_;
+  exec.worker_solver = [&solvers](int worker) { return solvers.Get(worker); };
+  exec.search_threads = 1 + extra_lanes;
+  exec.control = control;
+  exec.trace = trace;
+  exec.trace_parent = run_span.id();
 
   switch (algorithm) {
     case DccsAlgorithm::kGreedy:
@@ -1102,213 +1019,6 @@ Expected<DccsResult> Engine::RunValidated(
   return result;
 }
 
-std::shared_ptr<const Engine::BaseCoresEntry> Engine::GetBaseCores(
-    const std::shared_ptr<const GraphSnapshot>& snap, int d) {
-  const TrackedCores* tracked = snap->tracked(d);
-  // Tracked degrees key on the core-subgraph generation (identical cores
-  // whenever it matches — the maintained membership cannot have changed);
-  // untracked degrees key on the epoch, with per-layer reuse inside the
-  // build below.
-  const uint64_t generation =
-      tracked != nullptr ? tracked->generation : snap->epoch();
-  const std::pair<int, uint64_t> key{d, generation};
-
-  std::shared_ptr<BaseCoresEntry> entry;
-  std::shared_ptr<BaseCoresEntry> prev;
-  {
-    util::MutexLock lock(cache_mu_);
-    auto it = base_cores_.find(key);
-    if (it != base_cores_.end()) {
-      entry = it->second;
-      metrics_.base_core_hits->Add(1);
-    } else {
-      // The map orders by (d, generation): the entry directly below `key`
-      // with the same d is the newest older generation — the donor for
-      // unchanged layers.
-      auto below = base_cores_.lower_bound(key);
-      if (below != base_cores_.begin()) {
-        --below;
-        if (below->first.first == d) prev = below->second;
-      }
-      entry = std::make_shared<BaseCoresEntry>();
-      base_cores_[key] = entry;
-      metrics_.base_core_misses->Add(1);
-    }
-    base_cores_last_use_[key] = ++use_clock_;
-    EvictLru(base_cores_, base_cores_last_use_,
-             static_cast<size_t>(options_.max_cached_queries));
-  }
-  std::call_once(entry->once, [&] {
-    const MultiLayerGraph& graph = snap->graph();
-    const auto l = static_cast<int64_t>(graph.NumLayers());
-    entry->num_vertices = graph.NumVertices();
-    entry->layer_gens.resize(static_cast<size_t>(l));
-    for (int64_t layer = 0; layer < l; ++layer) {
-      entry->layer_gens[static_cast<size_t>(layer)] =
-          snap->layer_generation(static_cast<LayerId>(layer));
-    }
-    entry->cores.assign(static_cast<size_t>(l), VertexSet());
-    if (tracked != nullptr) {
-      // Served wholesale from the store's incrementally maintained cores.
-      for (int64_t layer = 0; layer < l; ++layer) {
-        entry->cores[static_cast<size_t>(layer)] =
-            *tracked->cores[static_cast<size_t>(layer)];
-      }
-      metrics_.base_core_store_served->Add(1);
-    } else {
-      // Per-layer generational reuse: copy layers whose content is
-      // unchanged since the donor entry; recompute the rest. The plan is
-      // fixed before the (possibly parallel) fill, so results cannot
-      // depend on the thread count (§4 rules).
-      const BaseCoresEntry* donor =
-          prev != nullptr && prev->ready.load(std::memory_order_acquire) &&
-                  prev->num_vertices == graph.NumVertices()
-              ? prev.get()
-              : nullptr;
-      int64_t reused = 0, recomputed = 0;
-      std::vector<uint8_t> reuse_layer(static_cast<size_t>(l), 0);
-      for (int64_t layer = 0; layer < l; ++layer) {
-        if (donor != nullptr &&
-            donor->layer_gens[static_cast<size_t>(layer)] ==
-                entry->layer_gens[static_cast<size_t>(layer)]) {
-          reuse_layer[static_cast<size_t>(layer)] = 1;
-          ++reused;
-        } else {
-          ++recomputed;
-        }
-      }
-      auto compute_layer = [&](int /*worker*/, int64_t layer) {
-        if (reuse_layer[static_cast<size_t>(layer)] != 0) {
-          entry->cores[static_cast<size_t>(layer)] =
-              donor->cores[static_cast<size_t>(layer)];
-        } else {
-          entry->cores[static_cast<size_t>(layer)] =
-              DCore(graph, static_cast<LayerId>(layer), d);
-        }
-      };
-      pool_.ParallelFor(l, compute_layer);
-      metrics_.base_core_layers_reused->Add(reused);
-      metrics_.base_core_layers_recomputed->Add(recomputed);
-    }
-    entry->ready.store(true, std::memory_order_release);
-  });
-  return entry;
-}
-
-std::shared_ptr<Engine::QueryEntry> Engine::GetQueryEntry(
-    const std::shared_ptr<const GraphSnapshot>& snap, int d, int s,
-    bool vertex_deletion, const QueryControl* control, QueryStop* stop) {
-  // The §IV-C fixpoint (and the index/seeds living inside the entry)
-  // depends only on the per-layer d-core-induced subgraphs, so a tracked
-  // d keys on the store's core-subgraph generation — updates that never
-  // touch those subgraphs keep the whole bundle warm across epochs
-  // (DESIGN.md §8). Untracked degrees key on the epoch.
-  const std::tuple<uint64_t, int, int, bool> key{snap->core_generation(d), d,
-                                                 s, vertex_deletion};
-  std::shared_ptr<QueryEntry> entry;
-  {
-    util::MutexLock lock(cache_mu_);
-    auto it = queries_.find(key);
-    if (it != queries_.end()) {
-      entry = it->second;
-    } else {
-      entry = std::make_shared<QueryEntry>();
-      queries_[key] = entry;
-    }
-    queries_last_use_[key] = ++use_clock_;
-    EvictLru(queries_, queries_last_use_,
-             static_cast<size_t>(options_.max_cached_queries));
-  }
-
-  // Build-or-wait-with-retry (see QueryEntry). Hits and misses are counted
-  // at *resolution* — found published vs. built-and-published — so a query
-  // stopped before publication moves no counter, matching the
-  // publish-or-nothing contract for contents.
-  util::MutexLock lock(entry->mu);
-  while (true) {
-    if (entry->ready) {
-      metrics_.preprocess_hits->Add(1);
-      return entry;
-    }
-    if (!entry->building) break;
-    if (control != nullptr) {
-      // Poll our own control while someone else builds, so cancelling a
-      // *waiter* never blocks on the builder's (possibly long) rounds.
-      entry->cv.WaitFor(entry->mu, std::chrono::milliseconds(5));
-      *stop = control->Check();
-      if (*stop != QueryStop::kNone) return nullptr;
-    } else {
-      entry->cv.Wait(entry->mu);
-    }
-  }
-
-  entry->building = true;
-  lock.Unlock();
-
-  PreprocessResult built;
-  QueryStop build_stop =
-      control != nullptr ? control->Check() : QueryStop::kNone;
-  if (build_stop == QueryStop::kNone) {
-    // Base cores always publish a complete artifact once started; the
-    // fixpoint checkpoints per deletion round.
-    std::shared_ptr<const BaseCoresEntry> base = GetBaseCores(snap, d);
-    built = Preprocess(snap->graph(), d, s, vertex_deletion, &pool_,
-                       &base->cores, control);
-    build_stop = built.stopped;
-  }
-
-  lock.Lock();
-  entry->building = false;
-  if (build_stop != QueryStop::kNone) {
-    // Abandoned build: publish nothing. A waiter (or the next query on
-    // this key) rebuilds from scratch; `built`'s partial contents die here.
-    lock.Unlock();
-    entry->cv.NotifyAll();
-    *stop = build_stop;
-    return nullptr;
-  }
-  entry->preprocess = std::move(built);
-  entry->ready = true;
-  lock.Unlock();
-  entry->cv.NotifyAll();
-  metrics_.preprocess_misses->Add(1);
-  return entry;
-}
-
-std::shared_ptr<const InitSeeds> Engine::GetSeeds(
-    const MultiLayerGraph& graph, QueryEntry& entry, const DccsParams& params,
-    DccSolver& solver) {
-  const std::pair<int, int> key{params.k,
-                                static_cast<int>(params.dcc_engine)};
-  util::MutexLock lock(entry.seeds_mu);
-  auto it = entry.seeds.find(key);
-  if (it != entry.seeds.end()) {
-    metrics_.seed_hits->Add(1);
-    return it->second;
-  }
-  auto seeds = std::make_shared<const InitSeeds>(
-      ComputeInitSeeds(graph, params, entry.preprocess, solver));
-  entry.seeds[key] = seeds;
-  metrics_.seed_misses->Add(1);
-  return seeds;
-}
-
-const VertexLevelIndex* Engine::GetIndex(const MultiLayerGraph& graph,
-                                         QueryEntry& entry, int d) {
-  bool built = false;
-  std::call_once(entry.index_once, [&] {
-    entry.index = std::make_unique<VertexLevelIndex>(graph, d,
-                                                     entry.preprocess.active);
-    built = true;
-  });
-  if (built) {
-    metrics_.index_misses->Add(1);
-  } else {
-    metrics_.index_hits->Add(1);
-  }
-  return entry.index.get();
-}
-
 int Engine::BorrowSearchLanes(int want) {
   if (want <= 0) return 0;
   int free = search_lanes_free_.load(std::memory_order_relaxed);
@@ -1329,63 +1039,10 @@ void Engine::ReturnSearchLanes(int lanes) {
   }
 }
 
-std::unique_ptr<DccSolver> Engine::AcquireSolver(
-    const std::shared_ptr<const MultiLayerGraph>& graph) {
-  {
-    util::MutexLock lock(solver_mu_);
-    if (free_graph_ == graph && !free_solvers_.empty()) {
-      std::unique_ptr<DccSolver> solver = std::move(free_solvers_.back());
-      free_solvers_.pop_back();
-      return solver;
-    }
-  }
-  return std::make_unique<DccSolver>(*graph);
-}
-
-void Engine::ReleaseSolver(std::shared_ptr<const MultiLayerGraph> graph,
-                           std::unique_ptr<DccSolver> solver) {
-  util::MutexLock lock(solver_mu_);
-  if (free_graph_ == graph) {
-    free_solvers_.push_back(std::move(solver));
-    return;
-  }
-  // The pool is homogeneous and must only ever hold *current*-snapshot
-  // solvers: anything else would let idle arenas pin a retired epoch's
-  // graph indefinitely. A release for the current graph flips the pool to
-  // it; a release for any other (stale) graph is dropped — and if the
-  // pool itself has gone stale meanwhile, it is flushed too.
-  const std::shared_ptr<const MultiLayerGraph> current =
-      store_->snapshot()->graph_ptr();
-  if (graph == current) {
-    free_solvers_.clear();
-    free_graph_ = std::move(graph);
-    free_solvers_.push_back(std::move(solver));
-    return;
-  }
-  if (free_graph_ != nullptr && free_graph_ != current) {
-    free_solvers_.clear();
-    free_graph_.reset();
-  }
-}
-
 void Engine::InitMetrics() {
   const std::vector<double> ms = obs::Histogram::LatencyBoundsMs();
   obs::Registry& global = obs::Registry::Global();
   Metrics& m = metrics_;
-  m.preprocess_hits = registry_.GetCounter("engine.cache.preprocess_hits");
-  m.preprocess_misses = registry_.GetCounter("engine.cache.preprocess_misses");
-  m.seed_hits = registry_.GetCounter("engine.cache.seed_hits");
-  m.seed_misses = registry_.GetCounter("engine.cache.seed_misses");
-  m.index_hits = registry_.GetCounter("engine.cache.index_hits");
-  m.index_misses = registry_.GetCounter("engine.cache.index_misses");
-  m.base_core_hits = registry_.GetCounter("engine.cache.base_core_hits");
-  m.base_core_misses = registry_.GetCounter("engine.cache.base_core_misses");
-  m.base_core_layers_reused =
-      registry_.GetCounter("engine.cache.base_core_layers_reused");
-  m.base_core_layers_recomputed =
-      registry_.GetCounter("engine.cache.base_core_layers_recomputed");
-  m.base_core_store_served =
-      registry_.GetCounter("engine.cache.base_core_store_served");
   m.revisions_emitted = registry_.GetCounter("engine.subs.revisions_emitted");
   m.revisions_unchanged_skipped =
       registry_.GetCounter("engine.subs.revisions_unchanged_skipped");
@@ -1428,19 +1085,20 @@ void Engine::OfferTrace(const DccsRequest& request, uint64_t epoch,
 }
 
 EngineCacheStats Engine::cache_stats() const {
+  const QueryCache::Counters& c = cache_.counters();
   const Metrics& m = metrics_;
   EngineCacheStats stats;
-  stats.preprocess_hits = m.preprocess_hits->value();
-  stats.preprocess_misses = m.preprocess_misses->value();
-  stats.seed_hits = m.seed_hits->value();
-  stats.seed_misses = m.seed_misses->value();
-  stats.index_hits = m.index_hits->value();
-  stats.index_misses = m.index_misses->value();
-  stats.base_core_hits = m.base_core_hits->value();
-  stats.base_core_misses = m.base_core_misses->value();
-  stats.base_core_layers_reused = m.base_core_layers_reused->value();
-  stats.base_core_layers_recomputed = m.base_core_layers_recomputed->value();
-  stats.base_core_store_served = m.base_core_store_served->value();
+  stats.preprocess_hits = c.preprocess.hits->value();
+  stats.preprocess_misses = c.preprocess.misses->value();
+  stats.seed_hits = c.seed.hits->value();
+  stats.seed_misses = c.seed.misses->value();
+  stats.index_hits = c.index.hits->value();
+  stats.index_misses = c.index.misses->value();
+  stats.base_core_hits = c.base_core.hits->value();
+  stats.base_core_misses = c.base_core.misses->value();
+  stats.base_core_layers_reused = c.base_core_layers_reused->value();
+  stats.base_core_layers_recomputed = c.base_core_layers_recomputed->value();
+  stats.base_core_store_served = c.base_core_store_served->value();
   stats.revisions_emitted = m.revisions_emitted->value();
   stats.revisions_unchanged_skipped = m.revisions_unchanged_skipped->value();
   stats.revisions_coalesced = m.revisions_coalesced->value();
@@ -1482,13 +1140,7 @@ void Engine::ResetStats() {
 }
 
 void Engine::ClearCache() {
-  {
-    util::MutexLock lock(cache_mu_);
-    base_cores_.clear();
-    base_cores_last_use_.clear();
-    queries_.clear();
-    queries_last_use_.clear();
-  }
+  cache_.Clear();
   util::MutexLock lock(solver_mu_);
   free_solvers_.clear();
   free_graph_.reset();

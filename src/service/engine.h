@@ -4,24 +4,21 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 #include "core/dcc.h"
 #include "dccs/community_search.h"
 #include "dccs/params.h"
-#include "dccs/preprocess.h"
-#include "dccs/vertex_index.h"
 #include "graph/multilayer_graph.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "service/delta.h"
+#include "service/query_cache.h"
 #include "service/status.h"
 #include "store/graph_store.h"
 #include "util/cancellation.h"
@@ -206,15 +203,15 @@ struct SubscriptionOptions {
 /// against one graph — and everything a query can share is owned here and
 /// reused across calls:
 ///
-///  * a preprocessing cache keyed on what each stage actually depends on:
-///    full-graph per-layer d-cores by `d`; the §IV-C vertex-deletion
-///    fixpoint, the §V-C vertex index and the InitTopK seeded top-k by
-///    (d, s, vertex_deletion) — the latter two because they are built over
-///    the surviving vertex set (the seeded top-k additionally by
-///    (k, dcc_engine); every BU/TD query starts from a copy of it).
-///    A repeat query with the same (d, s) skips vertex deletion entirely;
-///    a query with a cached `d` but new `s` skips the first (full-graph)
-///    deletion round.
+///  * a preprocessing cache (service/query_cache.h) keyed on what each
+///    stage actually depends on: full-graph per-layer d-cores by `d`; the
+///    §IV-C vertex-deletion fixpoint, the §V-C vertex index and the
+///    InitTopK seeded top-k by (d, s, vertex_deletion) — the latter two
+///    because they are built over the surviving vertex set (the seeded
+///    top-k additionally by k; every BU/TD query starts from a copy of
+///    it). A repeat query with the same (d, s) skips vertex deletion
+///    entirely; a query with a cached `d` but new `s` skips the first
+///    (full-graph) deletion round.
 ///  * one shared `util::ThreadPool` for every query's parallel stages and
 ///    for `RunBatch` fan-out — concurrent and nested calls share it, so no
 ///    query waits for or skips the pool because another one is using it;
@@ -357,12 +354,6 @@ class Engine {
   QueryHandle Submit(const DccsRequest& request,
                      const SubmitOptions& options = {});
 
-  /// Batch Submit: one handle per request (slot i ↔ requests[i]), each
-  /// admitted independently under `options` — on an overfull queue the
-  /// tail of the batch sheds with kResourceExhausted.
-  std::vector<QueryHandle> SubmitBatch(std::span<const DccsRequest> requests,
-                                       const SubmitOptions& options = {});
-
   /// Answers one DCCS query: a thin Submit + Wait (the submitting thread
   /// immediately donates itself to the query, so concurrency matches the
   /// historical synchronous path). Never aborts on bad input, and never
@@ -441,11 +432,8 @@ class Engine {
   friend class QueryHandle;
   friend class Subscription;
 
-  struct BaseCoresEntry;
-  struct QueryEntry;
   struct QueryTask;
   struct SubscriptionState;
-  class SolverLease;
   class WorkerSolvers;
 
   /// `control` (nullable) carries the submission's cancellation token and
@@ -519,44 +507,11 @@ class Engine {
   /// Wakes the dispatcher for another scan.
   void PingDispatcher();
 
-  /// Base cores for `d` at `snap`'s content. On a miss, unchanged layers
-  /// are copied from the newest older entry for the same d, and tracked
-  /// degrees are served from the store's maintained cores outright.
-  std::shared_ptr<const BaseCoresEntry> GetBaseCores(
-      const std::shared_ptr<const GraphSnapshot>& snap, int d);
-  /// Returns the published (generation, d, s, vertex_deletion) entry,
-  /// building it if needed — the generation (GraphSnapshot::
-  /// core_generation) keys out stale epochs. Returns nullptr with `*stop`
-  /// set when `control` fired before this query observed a published
-  /// entry; an abandoned build publishes nothing (the next query rebuilds
-  /// from scratch) — cache consistency under cancellation, DESIGN.md §7.
-  std::shared_ptr<QueryEntry> GetQueryEntry(
-      const std::shared_ptr<const GraphSnapshot>& snap, int d, int s,
-      bool vertex_deletion, const QueryControl* control, QueryStop* stop);
-  /// The entry's InitTopK seeds for (k, dcc_engine), computed on `solver`
-  /// on first use: BU/TD start from a copy of the cached seeded top-k.
-  std::shared_ptr<const InitSeeds> GetSeeds(const MultiLayerGraph& graph,
-                                            QueryEntry& entry,
-                                            const DccsParams& params,
-                                            DccSolver& solver);
-  const VertexLevelIndex* GetIndex(const MultiLayerGraph& graph,
-                                   QueryEntry& entry, int d);
-
   /// Engine-wide extra-lane budget for parallel searches (Options::
   /// search_threads): borrows up to `want` lanes, returning how many were
   /// actually granted (possibly 0 — the search then runs sequentially).
   int BorrowSearchLanes(int want);
   void ReturnSearchLanes(int lanes);
-
-  /// Solvers are bound to one graph object, so the free-list is
-  /// homogeneous per snapshot: acquiring for a different graph builds
-  /// fresh, and releasing a solver for the *current* snapshot's graph
-  /// flushes any stale entries (old snapshots are never pinned by idle
-  /// solvers).
-  std::unique_ptr<DccSolver> AcquireSolver(
-      const std::shared_ptr<const MultiLayerGraph>& graph);
-  void ReleaseSolver(std::shared_ptr<const MultiLayerGraph> graph,
-                     std::unique_ptr<DccSolver> solver);
 
   /// Resolves every cached metric pointer from registry_ (constructor
   /// setup; pointers stay valid for the engine's lifetime).
@@ -572,24 +527,6 @@ class Engine {
   // The shared pool: batches and every query's parallel stages call it
   // concurrently (and nested, for batch slots).
   ThreadPool pool_;
-
-  // Caches. cache_mu_ guards the maps and the LRU clock; per-entry
-  // once-flags/mutexes guard the (expensive) payload computations so a
-  // miss never blocks unrelated queries. Keys carry the snapshot
-  // generation the entry was built for (DESIGN.md §8): stale-generation
-  // entries simply stop being found and age out through the LRU, while
-  // in-flight queries pinned to old snapshots still share them.
-  mutable util::Mutex cache_mu_{util::lock_rank::kEngineCache,
-                                "Engine::cache_mu_"};
-  uint64_t use_clock_ MLCORE_GUARDED_BY(cache_mu_) = 0;
-  std::map<std::pair<int, uint64_t>, std::shared_ptr<BaseCoresEntry>>
-      base_cores_ MLCORE_GUARDED_BY(cache_mu_);
-  std::map<std::pair<int, uint64_t>, uint64_t> base_cores_last_use_
-      MLCORE_GUARDED_BY(cache_mu_);
-  std::map<std::tuple<uint64_t, int, int, bool>, std::shared_ptr<QueryEntry>>
-      queries_ MLCORE_GUARDED_BY(cache_mu_);
-  std::map<std::tuple<uint64_t, int, int, bool>, uint64_t> queries_last_use_
-      MLCORE_GUARDED_BY(cache_mu_);
 
   // Extra worker lanes still free for parallel searches (DESIGN.md §10):
   // initialised to options_.search_threads - 1, debited/credited around
@@ -635,18 +572,6 @@ class Engine {
   // *_global histograms are the same measurements mirrored into
   // obs::Registry::Global() for process-wide export.
   struct Metrics {
-    // engine.cache.* — views behind cache_stats().
-    obs::Counter* preprocess_hits = nullptr;
-    obs::Counter* preprocess_misses = nullptr;
-    obs::Counter* seed_hits = nullptr;
-    obs::Counter* seed_misses = nullptr;
-    obs::Counter* index_hits = nullptr;
-    obs::Counter* index_misses = nullptr;
-    obs::Counter* base_core_hits = nullptr;
-    obs::Counter* base_core_misses = nullptr;
-    obs::Counter* base_core_layers_reused = nullptr;
-    obs::Counter* base_core_layers_recomputed = nullptr;
-    obs::Counter* base_core_store_served = nullptr;
     // engine.subs.* — revision counters plus pipeline-stage latencies.
     obs::Counter* revisions_emitted = nullptr;
     obs::Counter* revisions_unchanged_skipped = nullptr;
@@ -674,6 +599,11 @@ class Engine {
   obs::Registry registry_;
   Metrics metrics_;
   obs::SlowQueryLog slow_log_;
+
+  // Every cacheable query stage (service/query_cache.h). Declared after
+  // pool_ and registry_, which it uses; its engine.cache.* counters live
+  // in registry_.
+  QueryCache cache_;
 };
 
 /// Handle to one submitted query (Engine::Submit). Copyable — copies share

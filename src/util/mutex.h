@@ -43,12 +43,11 @@ inline constexpr int kStoreWriter = 150;     // GraphStore::update_mu_
 inline constexpr int kStoreListeners = 200;  // GraphStore::listeners_mu_
 inline constexpr int kEngineSubs = 250;      // Engine::subs_mu_
 inline constexpr int kSubscription = 300;    // SubscriptionState::mu
-inline constexpr int kQueryEntry = 310;      // QueryEntry::mu
-inline constexpr int kQuerySeeds = 320;      // QueryEntry::seeds_mu
+inline constexpr int kCacheCell = 310;       // BuildOnce::mu_
 inline constexpr int kWorkerSolvers = 330;   // WorkerSolvers::mu_
 inline constexpr int kSolverPool = 350;      // Engine::solver_mu_
 inline constexpr int kStoreSnapshot = 400;   // GraphStore::snapshot_mu_
-inline constexpr int kEngineCache = 450;     // Engine::cache_mu_
+inline constexpr int kEngineCache = 450;     // LruTable::mu_
 inline constexpr int kStoreStats = 500;      // GraphStore::stats_mu_
 inline constexpr int kThreadPool = 510;      // ThreadPool::mu_
 inline constexpr int kTaskLane = 520;        // TaskGroup::Lane::mu

@@ -199,7 +199,7 @@ TEST(AsyncStatusTest, CancelAfterCompletionKeepsResult) {
   EXPECT_TRUE(handle.Wait().ok());
 }
 
-TEST(AsyncStatusTest, SubmitBatchMatchesIndividualRuns) {
+TEST(AsyncStatusTest, SubmittedQueriesMatchIndividualRuns) {
   MultiLayerGraph graph = SmallGraph(8);
   Engine engine(&graph, Engine::Options{.num_threads = 2});
 
@@ -211,7 +211,10 @@ TEST(AsyncStatusTest, SubmitBatchMatchesIndividualRuns) {
     request.params.k = 4;
     requests.push_back(request);
   }
-  std::vector<QueryHandle> handles = engine.SubmitBatch(requests);
+  std::vector<QueryHandle> handles;
+  for (const DccsRequest& request : requests) {
+    handles.push_back(engine.Submit(request));
+  }
   ASSERT_EQ(handles.size(), requests.size());
 
   Engine reference(&graph);

@@ -153,6 +153,87 @@ TEST(EngineTest, SameDegreeSharesBaseCoresAcrossSupports) {
                   "seeded preprocessing");
 }
 
+// Each per-stage cache counter, one stage at a time.
+TEST(EngineTest, CacheCountersPerStage) {
+  MultiLayerGraph graph = EngineGraph(16);
+  const int64_t l = graph.NumLayers();
+  DccsRequest request;
+  request.algorithm = DccsAlgorithm::kBottomUp;
+  request.params.d = 3;
+  request.params.s = 2;
+  request.params.k = 4;
+
+  {
+    // Untracked d: after an update that edits one layer, the base-core
+    // miss copies the other layers from the previous epoch's entry.
+    Engine engine(std::make_shared<GraphStore>(graph));
+    ASSERT_TRUE(engine.Run(request).ok());
+    EngineCacheStats stats = engine.cache_stats();
+    EXPECT_EQ(stats.base_core_misses, 1);
+    EXPECT_EQ(stats.base_core_layers_recomputed, l);
+    EXPECT_EQ(stats.base_core_layers_reused, 0);
+    EXPECT_EQ(stats.base_core_store_served, 0);
+
+    VertexId v = 1;
+    while (graph.HasEdge(1, 0, v)) ++v;
+    ASSERT_TRUE(engine.ApplyUpdate(UpdateBatch{}.Insert(1, 0, v)).ok());
+    ASSERT_TRUE(engine.Run(request).ok());
+    stats = engine.cache_stats();
+    EXPECT_EQ(stats.base_core_misses, 2);
+    EXPECT_EQ(stats.base_core_layers_recomputed, l + 1);
+    EXPECT_EQ(stats.base_core_layers_reused, l - 1);
+    EXPECT_EQ(stats.base_core_store_served, 0);
+  }
+  {
+    // Tracked d: the store's maintained cores serve the miss outright.
+    GraphStore::Options store_options;
+    store_options.tracked_degrees = {request.params.d};
+    Engine engine(std::make_shared<GraphStore>(graph, store_options));
+    ASSERT_TRUE(engine.Run(request).ok());
+    const EngineCacheStats stats = engine.cache_stats();
+    EXPECT_EQ(stats.base_core_misses, 1);
+    EXPECT_EQ(stats.base_core_store_served, 1);
+    EXPECT_EQ(stats.base_core_layers_recomputed, 0);
+    EXPECT_EQ(stats.base_core_layers_reused, 0);
+  }
+  {
+    // The §V-C index: built by the first TD query, found by the second.
+    Engine engine(&graph);
+    DccsRequest td = request;
+    td.algorithm = DccsAlgorithm::kTopDown;
+    td.params.s = 4;
+    ASSERT_TRUE(engine.Run(td).ok());
+    EXPECT_EQ(engine.cache_stats().index_misses, 1);
+    EXPECT_EQ(engine.cache_stats().index_hits, 0);
+    ASSERT_TRUE(engine.Run(td).ok());
+    EXPECT_EQ(engine.cache_stats().index_misses, 1);
+    EXPECT_EQ(engine.cache_stats().index_hits, 1);
+  }
+  {
+    // Seeds are keyed by k within a (d, s, vertex_deletion) entry.
+    Engine engine(&graph);
+    Expected<DccsResult> queue = engine.Run(request);
+    ASSERT_TRUE(queue.ok());
+    request.params.k = 6;
+    ASSERT_TRUE(engine.Run(request).ok());
+    EXPECT_EQ(engine.cache_stats().seed_misses, 2);
+    EXPECT_EQ(engine.cache_stats().seed_hits, 0);
+    request.params.k = 4;
+    ASSERT_TRUE(engine.Run(request).ok());
+    EXPECT_EQ(engine.cache_stats().seed_misses, 2);
+    EXPECT_EQ(engine.cache_stats().seed_hits, 1);
+
+    // The d-CC engine only picks the kernel: d-CCs are unique, so both
+    // engines seed the same top-k and share one entry.
+    request.params.dcc_engine = DccEngine::kBins;
+    Expected<DccsResult> bins = engine.Run(request);
+    ASSERT_TRUE(bins.ok());
+    ExpectSameCores(*bins, *queue, "kBins vs kQueue seeds");
+    EXPECT_EQ(engine.cache_stats().seed_misses, 2);
+    EXPECT_EQ(engine.cache_stats().seed_hits, 2);
+  }
+}
+
 TEST(EngineTest, RunBatchMatchesIndividualRuns) {
   MultiLayerGraph graph = EngineGraph(15);
   Engine engine(&graph, Engine::Options{.num_threads = 4});
