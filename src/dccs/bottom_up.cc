@@ -48,13 +48,14 @@ class BottomUpSearch {
         lanes_(arenas, params, exec, stats, lane_parent) {}
 
   void Run() {
-    auto root = std::make_shared<Node>();
-    root->core = &preprocess_.active;
-    root->excluded = 0;
-    Prepare(*root);
-    SpawnEvals(root);
-    Gen(root);
-    lanes_.Finish();
+    lanes_.Drive([this] {
+      auto root = std::make_shared<Node>();
+      root->core = &preprocess_.active;
+      root->excluded = 0;
+      Prepare(*root);
+      SpawnEvals(root);
+      Gen(root);
+    });
   }
 
   /// dCC evaluations the commit driver consumed — the deterministic part
@@ -124,7 +125,7 @@ class BottomUpSearch {
     };
   }
 
-  /// Launches the node's child evaluations on the task group, largest
+  /// Launches the node's child evaluations on the search lanes, largest
   /// scope first (the order the commit loop consumes once R is full).
   /// Children already hopeless under the *published* bound are not
   /// launched: if the driver nevertheless needs one (the published bound
@@ -290,7 +291,6 @@ class BottomUpSearch {
   LayerSet positions_buf_;
   std::vector<size_t> order_buf_, spawn_order_;
 
-  // Last member: task closures reference this search and its nodes.
   Lanes lanes_;
 };
 

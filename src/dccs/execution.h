@@ -51,29 +51,33 @@ struct DccsExecution {
   /// concurrently by two calls (DccSolver is not thread-safe).
   DccSolver* solver = nullptr;
 
-  /// Fork-join pool for the parallel stages (per-layer d-core rounds of
-  /// preprocessing, GD-DCCS candidate generation). Null runs them
-  /// sequentially; results are bit-identical either way (DESIGN.md §4).
+  /// Fork-join pool for the parallel stages: the per-layer d-core rounds of
+  /// preprocessing, GD-DCCS candidate generation and the BU/TD search lanes
+  /// (`search_threads`). Null runs preprocessing and GD sequentially, and
+  /// gives a parallel BU/TD search a pool of its own for the call; results
+  /// are bit-identical either way (DESIGN.md §4, §10).
   ThreadPool* pool = nullptr;
 
   /// Per-lane solver provider for the parallel stages that evaluate d-CCs
-  /// on worker threads: GD-DCCS candidate generation (lanes of `pool`) and
-  /// the BU/TD parallel search (lanes of the per-query task group, see
-  /// `search_threads`). Called at most once per worker id, must be
-  /// thread-safe, and the returned solvers must stay valid for the duration
-  /// of the call. When empty, the algorithms construct their own per-lane
-  /// solvers. Lane 0 is the calling (driver) thread: it uses `solver` when
-  /// set and asks this provider only otherwise (dccs/search_lanes.h).
+  /// on worker threads: GD-DCCS candidate generation and the BU/TD parallel
+  /// search, each indexed by the worker id of the pool it runs on. Called at
+  /// most once per worker id, must be thread-safe, and the returned solvers
+  /// must stay valid for the duration of the call. When empty, the
+  /// algorithms construct their own per-lane solvers. Lane 0 is the calling
+  /// (driver) thread: it uses `solver` when set and asks this provider only
+  /// otherwise (dccs/search_lanes.h).
   std::function<DccSolver*(int worker)> worker_solver = nullptr;
 
-  /// Worker lanes for the BU/TD search phase (DESIGN.md §10): the search
-  /// spins up a TaskGroup of `search_threads` lanes (driver included) and
-  /// evaluates lattice children speculatively on them while the driver
-  /// commits results in the exact sequential order — bit-identical output
-  /// at any value. <= 1 runs the historical sequential search with no task
-  /// group at all. Hosts running concurrent queries should budget lanes so
-  /// the sum stays within the machine (the Engine debits a shared lane
-  /// budget, see Engine::Options::search_threads).
+  /// Lanes for the BU/TD search phase (DESIGN.md §10), driver included: the
+  /// search runs as one ParallelFor of min(search_threads,
+  /// pool->num_threads()) items on `pool` (or on a pool of `search_threads`
+  /// threads it starts itself when `pool` is null) and evaluates lattice
+  /// children speculatively on the helper lanes while the driver commits
+  /// results in the exact sequential order — bit-identical output at any
+  /// value. <= 1 runs the historical sequential search with no pool call at
+  /// all. Helpers take only idle workers of the pool, so concurrent searches
+  /// sharing one pool degrade toward sequential instead of queueing (the
+  /// Engine shares one search pool, see Engine::Options::search_threads).
   int search_threads = 1;
 
   /// Cooperative stop control (util/cancellation.h): polled at the
@@ -94,8 +98,9 @@ struct DccsExecution {
   /// the algorithms commit "query.preprocess" (locally run preprocessing
   /// only — a host injecting `preprocess` records its own acquisition
   /// span), "query.search", "query.cover", and — for the parallel BU/TD
-  /// search — one "search.lane" span per TaskGroup lane summarising that
-  /// lane's busy wall/CPU time, parented under the search span so
+  /// search — one "search.lane" span per pool worker that ran one of its
+  /// evaluations, summarising that lane's busy wall/CPU time, committed
+  /// after every lane is done and parented under the search span so
   /// speculative evaluation waste is attributable to its driver. Null (or
   /// an MLCORE_OBS_DISABLED build) records nothing; the checks are a
   /// pointer test per *phase*, never per lattice node.

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -17,7 +19,9 @@
 #include "dccs/preprocess.h"
 #include "graph/multilayer_graph.h"
 #include "obs/span.h"
-#include "util/task_group.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
+#include "util/thread_pool.h"
 #include "util/timing.h"
 
 namespace mlcore {
@@ -76,7 +80,7 @@ class LaneArenas {
 };
 
 // Lifecycle of one lane-evaluated lattice child (DESIGN.md §10). Exactly
-// one thread wins the kPending -> kRunning CAS — a task-group worker, or
+// one thread wins the kPending -> kRunning CAS — a helper lane, or
 // the commit driver claiming the slot inline (which on one lane is how
 // every slot runs, reproducing the sequential search).
 constexpr uint8_t kSlotPending = 0;
@@ -95,17 +99,23 @@ struct LaneSlot {
 /// The lane runtime shared by the BU-DCCS and TD-DCCS searches (DESIGN.md
 /// §10). The search's recursion is the sequential commit driver (lane 0):
 /// it makes every pruning and top-k decision in the exact sequential order,
-/// while child evaluations run as tasks on a work-stealing TaskGroup of
-/// `arenas.size()` lanes. On one lane there is no group and the driver
-/// claims every slot inline. An evaluation is a callable
+/// while child evaluations run as tasks on the other lanes. A parallel
+/// search is one `ThreadPool::ParallelFor` call of `lanes` items on
+/// `exec.pool`, or, when that is null, on a pool of `exec.search_threads`
+/// threads of its own. Item 0 is the driver, which the calling thread always
+/// runs; the other items are helpers that run queued evaluations until the
+/// driver is done. A helper no idle worker picks up runs on the caller after
+/// the driver and returns at once, so a busy pool makes the search degrade
+/// toward sequential instead of queueing. On one lane there is no pool call
+/// and the driver claims every slot inline. An evaluation is a callable
 /// `eval(DccSolver&, Scratch&)`, taken as a template parameter so the
 /// per-evaluation path has no indirect call.
-///
-/// Task closures reference the search and its nodes, so the search must
-/// declare its SearchLanes as its last member: the group joins first.
 template <typename Scratch>
 class SearchLanes {
  public:
+  /// `arenas` is sized for the worker ids of the pool the lanes run on
+  /// (RunLatticeSearch); the search uses min(exec.search_threads, that
+  /// size) lanes.
   SearchLanes(LaneArenas<Scratch>& arenas, const DccsParams& params,
               const DccsExecution& exec, SearchStats& stats,
               obs::SpanId lane_parent)
@@ -114,9 +124,11 @@ class SearchLanes {
         control_(exec.control),
         stats_(stats),
         trace_(exec.trace),
-        lane_parent_(lane_parent) {
-    if (arenas.size() > 1) {
-      group_.emplace(arenas.size());
+        lane_parent_(lane_parent),
+        lanes_(std::min(exec.search_threads, arenas.size())) {
+    if (lanes_ > 1) {
+      pool_ = exec.pool != nullptr ? exec.pool : &local_pool_.emplace(lanes_);
+      MLCORE_DCHECK(pool_->num_threads() <= arenas.size());
       if (obs::kEnabled && trace_ != nullptr) {
         lane_obs_.resize(static_cast<size_t>(arenas.size()));
       }
@@ -126,16 +138,52 @@ class SearchLanes {
   SearchLanes(const SearchLanes&) = delete;
   SearchLanes& operator=(const SearchLanes&) = delete;
 
-  bool parallel() const { return group_.has_value(); }
+  bool parallel() const { return pool_ != nullptr; }
 
-  /// Queues `slot`'s evaluation on the task group; `keep` holds the node
+  /// Runs the commit driver `drive()` as lane 0 and returns once every lane
+  /// is done; evaluations still queued then are discarded unexecuted. When
+  /// tracing, it then commits one "search.lane" span per lane that ran an
+  /// evaluation.
+  template <typename Driver>
+  void Drive(const Driver& drive) {
+    if (!parallel()) {
+      drive();
+      return;
+    }
+    pool_->ParallelFor(lanes_, [&](int lane, int64_t item) {
+      if (item != 0) {
+        while (Task task = Pop(/*wait=*/true)) task(lane);
+        return;
+      }
+      MLCORE_DCHECK(lane == 0);  // ParallelFor's caller runs item 0
+      drive();
+      std::deque<Task> stale;
+      {
+        util::MutexLock lock(mu_);
+        driver_done_ = true;
+        stale.swap(tasks_);
+      }
+      task_ready_.NotifyAll();
+    });
+    for (const LaneObs& lane : lane_obs_) {
+      if (lane.evals == 0) continue;
+      trace_->Add("search.lane", lane_parent_, trace_->AgeMs(),
+                  lane.busy_seconds * 1e3,
+                  lane.cpu_seconds > 0 ? lane.cpu_seconds * 1e3 : -1);
+    }
+  }
+
+  /// Queues `slot`'s evaluation for the helper lanes; `keep` holds the node
   /// that owns the slot alive until the task has run or been discarded.
   template <typename Node, typename Eval>
   void Spawn(std::shared_ptr<Node> keep, LaneSlot& slot, Eval eval) {
-    group_->Spawn(0, [this, keep = std::move(keep), &slot,
-                      eval = std::move(eval)](int lane) {
-      Run(slot, lane, eval);
-    });
+    Task task = [this, keep = std::move(keep), &slot,
+                 eval = std::move(eval)](int lane) { Run(slot, lane, eval); };
+    {
+      util::MutexLock lock(mu_);
+      tasks_.push_back(std::move(task));
+    }
+    task_ready_.NotifyOne();
   }
 
   /// Claims and runs one evaluation on `lane`; no-op when another thread
@@ -167,13 +215,17 @@ class SearchLanes {
   }
 
   /// Blocks (productively) until the slot's evaluation exists: claims an
-  /// unclaimed slot inline, otherwise helps drain the task group while a
-  /// worker finishes it.
+  /// unclaimed slot inline, otherwise runs queued evaluations while a
+  /// helper finishes it.
   template <typename Eval>
   void Wait(LaneSlot& slot, const Eval& eval) {
     Run(slot, 0, eval);
     while (slot.state.load(std::memory_order_acquire) != kSlotDone) {
-      if (!group_ || !group_->TryRunOne(0)) std::this_thread::yield();
+      if (Task task = Pop(/*wait=*/false)) {
+        task(0);
+      } else {
+        std::this_thread::yield();
+      }
     }
   }
 
@@ -196,20 +248,6 @@ class SearchLanes {
                           &stats_);
   }
 
-  /// Ends the search: when tracing, joins the lanes (stale speculative
-  /// tasks are discarded) so the per-lane aggregates are complete, then
-  /// commits one "search.lane" span per lane that ran an evaluation.
-  void Finish() {
-    if (lane_obs_.empty()) return;
-    group_.reset();
-    for (const LaneObs& lane : lane_obs_) {
-      if (lane.evals == 0) continue;
-      trace_->Add("search.lane", lane_parent_, trace_->AgeMs(),
-                  lane.busy_seconds * 1e3,
-                  lane.cpu_seconds > 0 ? lane.cpu_seconds * 1e3 : -1);
-    }
-  }
-
   /// All d-CC evaluations the slots performed, including speculative ones
   /// the driver never committed; lane-count-dependent.
   int64_t executed_calls() const {
@@ -217,9 +255,11 @@ class SearchLanes {
   }
 
  private:
+  using Task = std::function<void(int lane)>;
+
   /// One lane's claimed-evaluation busy time (wall + thread CPU). Entries
-  /// are single-writer while the group runs and read only after it joins;
-  /// cache-line aligned so lanes never false-share.
+  /// are single-writer while the lanes run and read only after they are
+  /// done; cache-line aligned so lanes never false-share.
   struct alignas(64) LaneObs {
     double busy_seconds = 0;
     double cpu_seconds = 0;
@@ -230,19 +270,36 @@ class SearchLanes {
     return lane_obs_.empty() ? nullptr : &lane_obs_[static_cast<size_t>(lane)];
   }
 
+  /// The oldest queued evaluation, or an empty task once the driver is
+  /// done. With `wait` false it also returns an empty task at once when the
+  /// queue is empty; otherwise it parks until either changes.
+  Task Pop(bool wait) {
+    util::MutexLock lock(mu_);
+    while (wait && !driver_done_ && tasks_.empty()) task_ready_.Wait(mu_);
+    if (driver_done_ || tasks_.empty()) return nullptr;
+    Task task = std::move(tasks_.front());
+    tasks_.pop_front();
+    return task;
+  }
+
   LaneArenas<Scratch>& arenas_;
   const double budget_seconds_;
   const QueryControl* control_;
   SearchStats& stats_;
   obs::Trace* trace_;
   const obs::SpanId lane_parent_;
+  const int lanes_;
+  std::optional<ThreadPool> local_pool_;
+  ThreadPool* pool_ = nullptr;  // null on one lane
   std::vector<LaneObs> lane_obs_;
   WallTimer timer_;
   std::atomic<int64_t> executed_calls_{0};
 
-  // Last member: destroyed first, so in-flight tasks finish before the
-  // state above goes away.
-  std::optional<TaskGroup> group_;
+  // Only the driver spawns, so one FIFO serves every helper lane.
+  util::Mutex mu_{util::lock_rank::kSearchLanes, "SearchLanes::mu_"};
+  util::CondVar task_ready_;
+  std::deque<Task> tasks_ MLCORE_GUARDED_BY(mu_);
+  bool driver_done_ MLCORE_GUARDED_BY(mu_) = false;
 };
 
 /// d-CC evaluations of one lattice search: those the commit driver used
@@ -290,7 +347,10 @@ DccsResult RunLatticeSearch(const MultiLayerGraph& graph,
   }
 
   obs::Span search_span(exec.trace, "query.search", exec.trace_parent);
-  LaneArenas<Scratch> arenas(graph, exec, exec.search_threads);
+  // One arena per worker id of the pool the search lanes run on.
+  LaneArenas<Scratch> arenas(
+      graph, exec,
+      exec.pool != nullptr ? exec.pool->num_threads() : exec.search_threads);
   MLCORE_DCHECK(exec.seeds == nullptr ||
                 exec.seeds->topk.capacity() == params.k);
   InitSeeds seeds =

@@ -98,13 +98,14 @@ class TopDownSearch {
       }
       return;
     }
-    auto root = std::make_shared<Node>();
-    root->positions = std::move(root_positions);
-    root->potential = &preprocess_.active;
-    Prepare(*root);
-    SpawnMaterialise(root);
-    Gen(root);
-    lanes_.Finish();
+    lanes_.Drive([&] {
+      auto root = std::make_shared<Node>();
+      root->positions = std::move(root_positions);
+      root->potential = &preprocess_.active;
+      Prepare(*root);
+      SpawnMaterialise(root);
+      Gen(root);
+    });
   }
 
   int64_t committed_calls() const {
@@ -268,7 +269,7 @@ class TopDownSearch {
     if (n == 0) return;
 
     // Lines 2–5: materialise every child's U and C up front — committed in
-    // removable order; the refinement work itself runs on the task group.
+    // removable order; the refinement work itself runs on the search lanes.
     for (size_t idx = 0; idx < n; ++idx) {
       if (lanes_.StopRequested()) {
         CancelPending(*node);
@@ -324,6 +325,9 @@ class TopDownSearch {
       // U fails Eq. (1) the whole subtree is hopeless. (Fig 8 line 23
       // prints C^d_{L'} here; the §V-A text and Lemma 5 establish the bound
       // via the potential set, which is what we check — see DESIGN.md.)
+      // Its premise holds for the node's own candidate: C ⊆ U.
+      MLCORE_DCHECK(std::includes(slot.potential.begin(), slot.potential.end(),
+                                  slot.core.begin(), slot.core.end()));
       if (!result_.SatisfiesEq1(slot.potential)) {
         ++stats_.pruned_eq1;
         continue;
@@ -372,6 +376,9 @@ class TopDownSearch {
     solver_.Compute(ids_buf_, params_.d, scope_buf_, &core_buf_,
                     params_.dcc_engine);
     driver_calls_ += solver_.num_calls() - before;
+    // Lemma 7's premise: the sampled descendant's candidate lies in U.
+    MLCORE_DCHECK(std::includes(potential.begin(), potential.end(),
+                                core_buf_.begin(), core_buf_.end()));
     if (result_.Update(core_buf_, ids_buf_)) ++stats_.updates_accepted;
     return true;
   }
@@ -393,7 +400,6 @@ class TopDownSearch {
   LayerSet ids_buf_;
   VertexSet scope_buf_, core_buf_;
 
-  // Last member: task closures reference this search and its nodes.
   Lanes lanes_;
 };
 

@@ -24,7 +24,8 @@
 // concurrently (one fetch_add claims a slot; overflow drops the record and
 // counts it). Reading (records()) is only safe after every recording
 // thread is done with the trace — for the Engine that is after RunValidated
-// returns, which joins the search TaskGroup. This keeps the hot path to a
+// returns, and a search returns only after its ParallelFor has finished
+// every lane. This keeps the hot path to a
 // slot claim and a struct write, with no locking.
 
 namespace mlcore::obs {

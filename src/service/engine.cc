@@ -227,12 +227,11 @@ Engine::Engine(std::shared_ptr<GraphStore> store, Options options)
     : store_(std::move(store)),
       options_(Sanitize(options)),
       pool_(options_.num_threads),
+      search_pool_(options_.search_threads),
       pending_(static_cast<size_t>(options_.max_pending_queries)),
       cache_(registry_, pool_, options_.max_cached_queries) {
   // NOLINT(mlcore-release-check): constructor contract.
   MLCORE_CHECK(store_ != nullptr);
-  search_lanes_free_.store(options_.search_threads - 1,
-                           std::memory_order_relaxed);
   InitMetrics();
   query_workers_.reserve(static_cast<size_t>(options_.query_workers));
   for (int w = 0; w < options_.query_workers; ++w) {
@@ -944,18 +943,17 @@ Expected<DccsResult> Engine::RunValidated(
     return StopStatus(stop, "before the search phase");
   }
 
-  // Parallel search phase (DESIGN.md §10): the lattice searches borrow
-  // worker lanes from the engine-wide budget. How many lanes a query
-  // actually gets cannot change its result (the §4/§10 determinism
-  // contract), so the borrow needs no fairness — whatever is free right now.
+  // Parallel search phase (DESIGN.md §10): the lattice searches run their
+  // lanes on search_pool_, whose idle workers are the engine-wide lane
+  // budget. How many lanes a query actually gets cannot change its result
+  // (the §4/§10 determinism contract), so it needs no fairness.
   const bool lattice_search = algorithm == DccsAlgorithm::kBottomUp ||
                               algorithm == DccsAlgorithm::kTopDown;
-  const int extra_lanes =
-      lattice_search ? BorrowSearchLanes(options_.search_threads - 1) : 0;
-  // One solver per lane: GD evaluates candidates on every pool lane, BU/TD
-  // search on theirs and seed InitTopK on lane 0's.
-  WorkerSolvers solvers(this, snap->graph_ptr(),
-                        lattice_search ? 1 + extra_lanes : pool_.num_threads());
+  ThreadPool& pool = lattice_search ? search_pool_ : pool_;
+  // One solver per worker of the pool the search runs on: GD evaluates
+  // candidates on every pool lane, BU/TD search on theirs and seed InitTopK
+  // on lane 0's.
+  WorkerSolvers solvers(this, snap->graph_ptr(), pool.num_threads());
   const InitSeeds* seeds = nullptr;
   if (lattice_search && params.init_result) {
     seeds = &cache_.Seeds(*entry, graph, params, *solvers.Get(0));
@@ -971,9 +969,9 @@ Expected<DccsResult> Engine::RunValidated(
   exec.preprocess = &QueryCache::Fixpoint(*entry);
   exec.seeds = seeds;
   exec.index = index;
-  exec.pool = &pool_;
+  exec.pool = &pool;
   exec.worker_solver = [&solvers](int worker) { return solvers.Get(worker); };
-  exec.search_threads = 1 + extra_lanes;
+  exec.search_threads = options_.search_threads;
   exec.control = control;
   exec.trace = trace;
   exec.trace_parent = run_span.id();
@@ -993,12 +991,10 @@ Expected<DccsResult> Engine::RunValidated(
       // assert; release builds fail the request instead of aborting a
       // serving process.
       MLCORE_DCHECK_MSG(false, "kAuto must be resolved before dispatch");
-      ReturnSearchLanes(extra_lanes);
       return Status::InvalidArgument(
           "kAuto must be resolved before dispatch");
     }
   }
-  ReturnSearchLanes(extra_lanes);
   if (result.stats.stopped == QueryStop::kCancelled) {
     // A cancelled search's partial top-k is discarded, never served; the
     // caches it read (and any completed artifacts it built) stay valid.
@@ -1017,26 +1013,6 @@ Expected<DccsResult> Engine::RunValidated(
   metrics_.query_total_ms->Record(result.stats.total_seconds * 1e3);
   metrics_.query_total_ms_global->Record(result.stats.total_seconds * 1e3);
   return result;
-}
-
-int Engine::BorrowSearchLanes(int want) {
-  if (want <= 0) return 0;
-  int free = search_lanes_free_.load(std::memory_order_relaxed);
-  while (free > 0) {
-    const int take = std::min(free, want);
-    if (search_lanes_free_.compare_exchange_weak(free, free - take,
-                                                 std::memory_order_acq_rel,
-                                                 std::memory_order_relaxed)) {
-      return take;
-    }
-  }
-  return 0;
-}
-
-void Engine::ReturnSearchLanes(int lanes) {
-  if (lanes > 0) {
-    search_lanes_free_.fetch_add(lanes, std::memory_order_acq_rel);
-  }
 }
 
 void Engine::InitMetrics() {

@@ -212,9 +212,10 @@ struct SubscriptionOptions {
 ///    it). A repeat query with the same (d, s) skips vertex deletion
 ///    entirely; a query with a cached `d` but new `s` skips the first
 ///    (full-graph) deletion round.
-///  * one shared `util::ThreadPool` for every query's parallel stages and
-///    for `RunBatch` fan-out — concurrent and nested calls share it, so no
-///    query waits for or skips the pool because another one is using it;
+///  * one shared `util::ThreadPool` for every query's preprocessing and
+///    GD-DCCS stages and for `RunBatch` fan-out, and a second one that runs
+///    the BU/TD search lanes — concurrent and nested calls share each, so
+///    no query waits for or skips a pool because another one is using it;
 ///  * a free-list of `DccSolver` arenas, so steady-state queries allocate
 ///    no solver scratch.
 ///
@@ -288,14 +289,12 @@ class Engine {
     /// overload — nothing ever queues forever.
     int max_pending_queries = 64;
     /// Worker lanes for the BU/TD search phase of a single query
-    /// (DESIGN.md §10): each lattice search runs on a work-stealing task
-    /// group of up to this many lanes, with results bit-identical at any
-    /// value (1, the default, is the historical sequential search). Lanes
-    /// beyond the driver are drawn from one engine-wide budget of
-    /// (search_threads - 1) so concurrent searches never oversubscribe the
-    /// machine: a query borrows whatever is free at its search phase and
-    /// returns it when done — under contention searches degrade toward
-    /// sequential, never queue. Applies to Run/Submit/RunBatch/Subscribe
+    /// (DESIGN.md §10), driver included, with results bit-identical at any
+    /// value (1, the default, is the historical sequential search). The
+    /// engine runs the lanes on a second pool of this many threads, shared
+    /// by every query's search phase: a search's helper lanes run only on
+    /// workers that are idle, when it starts or as they free up during it,
+    /// so under contention searches degrade toward sequential, never queue. Applies to Run/Submit/RunBatch/Subscribe
     /// alike.
     int search_threads = 1;
   };
@@ -507,12 +506,6 @@ class Engine {
   /// Wakes the dispatcher for another scan.
   void PingDispatcher();
 
-  /// Engine-wide extra-lane budget for parallel searches (Options::
-  /// search_threads): borrows up to `want` lanes, returning how many were
-  /// actually granted (possibly 0 — the search then runs sequentially).
-  int BorrowSearchLanes(int want);
-  void ReturnSearchLanes(int lanes);
-
   /// Resolves every cached metric pointer from registry_ (constructor
   /// setup; pointers stay valid for the engine's lifetime).
   void InitMetrics();
@@ -528,10 +521,10 @@ class Engine {
   // concurrently (and nested, for batch slots).
   ThreadPool pool_;
 
-  // Extra worker lanes still free for parallel searches (DESIGN.md §10):
-  // initialised to options_.search_threads - 1, debited/credited around
-  // each BU/TD search phase. Lock-free so it never serialises queries.
-  std::atomic<int> search_lanes_free_{0};
+  // The BU/TD search lanes (DESIGN.md §10): options_.search_threads
+  // threads, shared by every query's search phase. Its idle workers are the
+  // engine-wide lane budget.
+  ThreadPool search_pool_;
 
   // Solver free-list (the per-worker arenas of DESIGN.md §5), homogeneous
   // per graph snapshot: free_graph_ names the graph every pooled solver is

@@ -50,8 +50,7 @@ inline constexpr int kStoreSnapshot = 400;   // GraphStore::snapshot_mu_
 inline constexpr int kEngineCache = 450;     // LruTable::mu_
 inline constexpr int kStoreStats = 500;      // GraphStore::stats_mu_
 inline constexpr int kThreadPool = 510;      // ThreadPool::mu_
-inline constexpr int kTaskLane = 520;        // TaskGroup::Lane::mu
-inline constexpr int kTaskPark = 530;        // TaskGroup::park_mu_
+inline constexpr int kSearchLanes = 520;     // SearchLanes::mu_
 inline constexpr int kTaskQueue = 540;       // PriorityTaskQueue::mu_
 inline constexpr int kQueryTask = 550;       // QueryTask::mu
 inline constexpr int kTopK = 560;            // ConcurrentTopK::mu_

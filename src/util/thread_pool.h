@@ -12,10 +12,11 @@
 
 namespace mlcore {
 
-/// A small reusable fork-join pool for the embarrassingly parallel loops in
-/// the DCCS stack (per-layer d-core preprocessing, GD-DCCS candidate
-/// generation). Construct once per search, reuse across many ParallelFor
-/// calls; workers sleep between calls.
+/// A small reusable fork-join pool that runs every parallel stage of the
+/// DCCS stack: the per-layer d-core preprocessing rounds, GD-DCCS candidate
+/// generation and the BU/TD search lanes (dccs/search_lanes.h), all as
+/// ParallelFor calls. Construct once, reuse across many calls; workers
+/// sleep between calls.
 ///
 /// Determinism contract (see DESIGN.md §4): ParallelFor schedules item
 /// indices dynamically, so the *assignment* of items to workers varies
@@ -41,8 +42,9 @@ class ThreadPool {
   /// executing lane for indexing per-worker scratch arenas, and no worker
   /// id runs two items of one call at once. Safe to call from any number
   /// of threads at once, and from inside an item (nested calls): the
-  /// caller drains its own call as worker 0, and idle background workers
-  /// help the oldest call that still has unclaimed items.
+  /// caller drains its own call as worker 0, starting with item 0, and idle
+  /// background workers help the oldest call that still has unclaimed
+  /// items.
   void ParallelFor(int64_t count, const std::function<void(int, int64_t)>& fn);
 
  private:

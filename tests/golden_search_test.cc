@@ -19,6 +19,7 @@
 #include "dccs/dccs.h"
 #include "format/generator.h"
 #include "format/mlg.h"
+#include "graph/graph_builder.h"
 #include "test_temp.h"
 
 namespace mlcore {
@@ -184,6 +185,71 @@ TEST_P(GoldenSearchTest, EveryPathReproducesTheGoldenRow) {
 
 INSTANTIATE_TEST_SUITE_P(Rmat, GoldenSearchTest, testing::ValuesIn(kCases),
                          [](const testing::TestParamInfo<Case>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// TD's Lemma 7 shortcut never fires on the R-MAT rows: by the time a node
+// reaches it, InitTopK or an earlier subtree has usually offered R a
+// size-s subset whose d-CC contains the node's. These rows start TD from a
+// chosen top-k (DccsExecution::seeds) instead. The graph has 6 layers: a
+// 4-clique {0..3} on layers {0, 1}, and a b-clique on vertices 4..3+b on
+// every layer. With d = 3, s = 2, k = 1 and R seeded with the 4-clique on
+// {0, 1}, Eq. (2) reads |U| < 16. At b = 10 the first eligible node has
+// |U| = 14, so one random descendant stands for its subtree
+// (pruned_potential 1). At b = 12 it has |U| = 16, which fails Eq. (2)
+// exactly, so TD descends instead.
+struct Lemma7Case {
+  const char* name;
+  int b;
+  Golden expected;
+};
+
+void PrintTo(const Lemma7Case& c, std::ostream* os) { *os << c.name; }
+
+const Lemma7Case kLemma7Cases[] = {
+    {"b10", 10, {12370591661901827266ULL, 1, 10, 6, 0, 5, 0, 1, 1, 13}},
+    {"b12", 12, {13369200341372418217ULL, 1, 12, 18, 0, 13, 0, 0, 1, 33}},
+};
+
+MultiLayerGraph TwoCliqueGraph(int b) {
+  GraphBuilder builder(4 + b, 6);
+  for (VertexId u = 0; u < 4; ++u) {
+    for (VertexId v = u + 1; v < 4; ++v) builder.AddEdgeOnLayers({0, 1}, u, v);
+  }
+  for (VertexId u = 4; u < 4 + b; ++u) {
+    for (VertexId v = u + 1; v < 4 + b; ++v) {
+      builder.AddEdgeOnLayers({0, 1, 2, 3, 4, 5}, u, v);
+    }
+  }
+  return builder.Build();
+}
+
+class GoldenLemma7Test : public testing::TestWithParam<Lemma7Case> {};
+
+TEST_P(GoldenLemma7Test, SeededTopDownReproducesTheGoldenRow) {
+  const Lemma7Case& c = GetParam();
+  const MultiLayerGraph graph = TwoCliqueGraph(c.b);
+  DccsParams params;
+  params.d = 3;
+  params.s = 2;
+  params.k = 1;
+  InitSeeds seeds;
+  ASSERT_TRUE(seeds.topk.Update({0, 1, 2, 3}, {0, 1}));
+  for (int lanes : {1, 4}) {
+    ThreadPool pool(lanes);
+    DccsExecution exec;
+    exec.pool = &pool;
+    exec.search_threads = lanes;
+    exec.seeds = &seeds;
+    const Golden actual = Observe(TopDownDccs(graph, params, exec));
+    EXPECT_TRUE(actual == c.expected)
+        << c.name << " at " << lanes << " lanes: actual " << Format(actual);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(TwoCliques, GoldenLemma7Test,
+                         testing::ValuesIn(kLemma7Cases),
+                         [](const testing::TestParamInfo<Lemma7Case>& info) {
                            return std::string(info.param.name);
                          });
 

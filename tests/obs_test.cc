@@ -10,7 +10,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "test_temp.h"
-#include "util/task_group.h"
+#include "util/thread_pool.h"
 
 // Observability primitives (DESIGN.md §12). Every suite here is named
 // Obs* so the CI sanitizer jobs can select the whole family with one
@@ -224,9 +224,9 @@ TEST(ObsTraceTest, OverflowDropsAndCounts) {
   EXPECT_EQ(trace.dropped(), 1);
 }
 
-// Spans committed from TaskGroup workers parent correctly under their
+// Spans committed from ThreadPool workers parent correctly under their
 // driver's root span — the shape speculative lattice evaluations produce.
-TEST(ObsTraceTest, NestingAcrossTaskGroupWorkers) {
+TEST(ObsTraceTest, NestingAcrossPoolWorkers) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "MLCORE_OBS_DISABLED";
   constexpr int kLanes = 4;
   constexpr int kTasks = 8;
@@ -235,18 +235,15 @@ TEST(ObsTraceTest, NestingAcrossTaskGroupWorkers) {
   {
     Span root(&trace, "query.search");
     const obs::SpanId root_id = root.id();
-    TaskGroup group(kLanes);
-    for (int t = 0; t < kTasks; ++t) {
-      group.Spawn(/*worker=*/0, [&trace, &done, root_id](int /*worker*/) {
-        Span lane(&trace, "search.lane", root_id);
-        done.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    while (done.load(std::memory_order_relaxed) < kTasks) {
-      group.TryRunOne(/*worker=*/0);
-    }
-    // TaskGroup's destructor joins the workers, so every lane span has
-    // committed before the trace is read below.
+    ThreadPool pool(kLanes);
+    pool.ParallelFor(kTasks, [&trace, &done, root_id](int /*worker*/,
+                                                      int64_t /*item*/) {
+      Span lane(&trace, "search.lane", root_id);
+      done.fetch_add(1, std::memory_order_relaxed);
+    });
+    // ParallelFor returns after every item finished, so every lane span
+    // has committed before the trace is read below.
+    EXPECT_EQ(done.load(std::memory_order_relaxed), kTasks);
   }
   const std::vector<SpanRecord> records = trace.records();
   ASSERT_EQ(records.size(), 1u + kTasks);

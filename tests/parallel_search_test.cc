@@ -2,15 +2,19 @@
 // determinism contract — BU-DCCS and TD-DCCS results (cores, cover, and
 // every pre-existing SearchStats counter) are bit-identical at 1/2/4/8/16
 // search threads, through both the free functions and the Engine — plus
-// mid-search cancellation/deadline with worker lanes in flight, a
-// Subscribe revision stream evaluated by parallel searches across epochs,
-// and the engine-wide lane budget. The CI TSan and ASan+UBSan jobs run
-// this file (the suite names match their *Parallel* filter).
+// a search on a pool whose workers are all busy, mid-search
+// cancellation/deadline with worker lanes in flight, a Subscribe revision
+// stream evaluated by parallel searches across epochs, and the engine-wide
+// lane budget. The CI TSan and ASan+UBSan jobs run the whole suite, this
+// file included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <future>
+#include <latch>
 #include <optional>
 #include <string>
 #include <thread>
@@ -152,6 +156,54 @@ INSTANTIATE_TEST_SUITE_P(LatticeSearches, ParallelSearchTest,
                                    : "TDDCCS");
                          });
 
+// --- A search on a saturated pool ----------------------------------------
+
+// Every worker of the search's pool is held by another caller's
+// ParallelFor: the searches must not wait for a worker, and they run as the
+// 1-lane search, because no helper lane ever starts.
+TEST(ParallelSearchPoolTest, SaturatedPoolRunsTheSearchOnTheCaller) {
+  MultiLayerGraph graph = SearchGraph(47);
+  constexpr int kThreads = 4;
+  ThreadPool pool(kThreads);
+  std::latch holding(kThreads);
+  std::latch release(1);
+  std::thread holder([&] {
+    pool.ParallelFor(kThreads, [&](int /*worker*/, int64_t /*item*/) {
+      holding.count_down();
+      release.wait();
+    });
+  });
+  // If a search waited for a worker, this releases the pool after a
+  // minute so that the test fails instead of hanging.
+  std::promise<void> searches_done;
+  std::atomic<bool> timed_out{false};
+  std::thread watchdog([&, done = searches_done.get_future()] {
+    if (done.wait_for(std::chrono::seconds(60)) ==
+        std::future_status::timeout) {
+      timed_out = true;
+    }
+    release.count_down();
+  });
+  holding.wait();
+
+  for (DccsAlgorithm algorithm :
+       {DccsAlgorithm::kBottomUp, DccsAlgorithm::kTopDown}) {
+    const DccsParams params = SearchParams(algorithm);
+    const DccsResult sequential = RunOnLanes(graph, params, algorithm, 1);
+    const DccsExecution exec{.pool = &pool, .search_threads = kThreads};
+    const DccsResult saturated = algorithm == DccsAlgorithm::kBottomUp
+                                     ? BottomUpDccs(graph, params, exec)
+                                     : TopDownDccs(graph, params, exec);
+    EXPECT_FALSE(timed_out.load()) << AlgorithmName(algorithm);
+    ExpectBitIdentical(saturated, sequential,
+                       AlgorithmName(algorithm) + " on a saturated pool");
+    EXPECT_EQ(saturated.stats.speculative_evals, 0);
+  }
+  searches_done.set_value();
+  watchdog.join();
+  holder.join();
+}
+
 // --- Engine thread invariance ---------------------------------------------
 
 TEST(ParallelSearchEngineTest, EngineResultsThreadInvariant) {
@@ -228,7 +280,7 @@ TEST(ParallelSearchCancellationTest, MidSearchCancelStopsWorkerLanes) {
   handle.Cancel();
   const Expected<DccsResult>& outcome = handle.Wait();
   // Either the cancel landed (partial result discarded) or the query beat
-  // it; both must resolve promptly with the task group drained — TSan/ASan
+  // it; both must resolve promptly with the search lanes done — TSan/ASan
   // guard the shutdown itself.
   if (!outcome.ok()) {
     EXPECT_EQ(outcome.status().code, StatusCode::kCancelled);
