@@ -36,6 +36,10 @@ enum class DccEngine {
 ///    live-neighbour count. Initialisation scans each list only up to its
 ///    d-th live neighbour, and every list is scanned in full at most once
 ///    per call. kBins keeps the exact scoped degree there (Appendix B).
+///  - So short a scan costs a cache miss on v's CSR row, not arithmetic:
+///    kQueue's initialisation walks the scope by index and software-
+///    prefetches the row head and, further ahead, the offsets entry of the
+///    vertices it will scan next (DESIGN.md §2).
 ///  - kQueue's membership scratch is two n-bit sets (`live_`, `active_`)
 ///    that every call leaves all-zero, so no call pays an O(n) reset.
 ///    kBins' scratch is *epoch-stamped*: a generation counter is bumped

@@ -86,8 +86,8 @@ class BottomUpSearch {
     std::unique_ptr<EvalSlot[]> slots;
   };
 
-  const VertexSet& CoreAtPosition(int pos) const {
-    return preprocess_.layer_cores[static_cast<size_t>(
+  const Bitset& CoreBitsAtPosition(int pos) const {
+    return preprocess_.layer_core_bits[static_cast<size_t>(
         order_[static_cast<size_t>(pos)])];
   }
 
@@ -109,7 +109,7 @@ class BottomUpSearch {
     node.slots = std::make_unique<EvalSlot[]>(n);
     for (size_t idx = 0; idx < n; ++idx) {
       const int j = node.expandable[idx];
-      IntersectSortedInto(*node.core, CoreAtPosition(j), &node.scopes[idx]);
+      FilterInto(*node.core, CoreBitsAtPosition(j), &node.scopes[idx]);
       positions_buf_ = node.positions;
       positions_buf_.push_back(static_cast<LayerId>(j));
       PositionsToLayerIds(order_, positions_buf_, &node.slots[idx].ids);

@@ -70,7 +70,6 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
   std::vector<Candidate> slots(subsets.size());
   struct Scratch {
     VertexSet scope;
-    VertexSet tmp;
     VertexSet core;
   };
   LaneArenas<Scratch> arenas(graph, exec,
@@ -117,11 +116,9 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
         preprocess->layer_cores[static_cast<size_t>(layers[0])];
     scratch.scope.assign(first.begin(), first.end());
     for (size_t j = 1; j < layers.size() && !scratch.scope.empty(); ++j) {
-      IntersectSortedInto(
-          scratch.scope,
-          preprocess->layer_cores[static_cast<size_t>(layers[j])],
-          &scratch.tmp);
-      std::swap(scratch.scope, scratch.tmp);
+      FilterInto(scratch.scope,
+                 preprocess->layer_core_bits[static_cast<size_t>(layers[j])],
+                 &scratch.scope);
     }
     arena.solver->Compute(layers, params.d, scratch.scope, &scratch.core,
                           params.dcc_engine);
@@ -161,32 +158,45 @@ DccsResult GreedyDccs(const MultiLayerGraph& graph, const DccsParams& params,
       stopped != QueryStop::kNone ? evaluated.load(std::memory_order_relaxed)
                                   : static_cast<int64_t>(subsets.size());
 
-  // Lines 8–10: greedy max-cover selection of k candidates.
+  // Lines 8–10: greedy max-cover selection of k candidates, lazily (see
+  // greedy.h). Each entry holds a candidate's gain as of `round`; stale
+  // gains only overstate, so a fresh top is the eager scan's first-index
+  // maximum, zero gains included.
   search_span.End();
   obs::Span cover_span(exec.trace, "query.cover", exec.trace_parent);
+  struct Entry {
+    int64_t gain;
+    size_t index;
+    int round;
+  };
+  auto below = [](const Entry& a, const Entry& b) {
+    return a.gain != b.gain ? a.gain < b.gain : a.index > b.index;
+  };
+  std::vector<Entry> heap;
+  heap.reserve(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    heap.push_back(Entry{
+        static_cast<int64_t>(candidates[c].vertices.size()), c, 0});
+  }
+  std::make_heap(heap.begin(), heap.end(), below);
   Bitset covered(n);
-  std::vector<bool> taken(candidates.size(), false);
-  for (int round = 0; round < params.k; ++round) {
-    int64_t best_gain = -1;
-    size_t best = candidates.size();
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      if (taken[c]) continue;
-      int64_t gain = 0;
-      for (VertexId v : candidates[c].vertices) {
-        if (!covered.Test(static_cast<size_t>(v))) ++gain;
+  for (int round = 0; round < params.k && !heap.empty(); ++round) {
+    while (heap.front().round != round) {  // stale top: re-evaluate it
+      std::pop_heap(heap.begin(), heap.end(), below);
+      Entry& top = heap.back();
+      top.gain = 0;
+      for (VertexId v : candidates[top.index].vertices) {
+        if (!covered.Test(static_cast<size_t>(v))) ++top.gain;
       }
-      if (gain > best_gain) {
-        best_gain = gain;
-        best = c;
-      }
+      top.round = round;
+      std::push_heap(heap.begin(), heap.end(), below);
     }
-    if (best == candidates.size()) break;  // fewer than k candidates exist
-    taken[best] = true;
-    for (VertexId v : candidates[best].vertices) {
-      covered.Set(static_cast<size_t>(v));
-    }
-    result.cores.push_back(ResultCore{candidates[best].layers,
-                                      std::move(candidates[best].vertices)});
+    std::pop_heap(heap.begin(), heap.end(), below);
+    Candidate& best = candidates[heap.back().index];
+    heap.pop_back();
+    for (VertexId v : best.vertices) covered.Set(static_cast<size_t>(v));
+    result.cores.push_back(
+        ResultCore{std::move(best.layers), std::move(best.vertices)});
     ++result.stats.updates_accepted;
   }
 

@@ -17,6 +17,13 @@ inline constexpr int64_t kMaxGreedySubsets = int64_t{1} << 26;
 /// candidate d-CCs, then selects k of them greedily by marginal cover gain.
 /// Approximation ratio 1 − 1/e (Theorem 2); cost O((ns + ms + kn)·C(l,s)).
 ///
+/// The selection is lazy greedy (Minoux; CELF): a max-heap keeps every
+/// candidate's last computed marginal gain, ordered by gain descending,
+/// then candidate index ascending, and each round re-evaluates only the
+/// top until the top's gain is fresh. Gains only shrink as coverage grows,
+/// so that top is the first-index maximum the paper's eager scan picks;
+/// the selected cores and their order are identical to the eager scan's.
+///
 /// Per the paper's experimental protocol (§VI, "for fairness, all the
 /// algorithms exploit the preprocessing methods"), the §IV-C vertex-deletion
 /// preprocessing is applied before candidate generation when

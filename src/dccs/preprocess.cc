@@ -160,8 +160,9 @@ InitSeeds ComputeInitSeeds(const MultiLayerGraph& graph,
         }
       }
       chosen.push_back(best_j);
-      intersection = IntersectSorted(
-          intersection, preprocess.layer_cores[static_cast<size_t>(best_j)]);
+      FilterInto(intersection,
+                 preprocess.layer_core_bits[static_cast<size_t>(best_j)],
+                 &intersection);
     }
     std::sort(chosen.begin(), chosen.end());
     const VertexSet core =

@@ -271,16 +271,26 @@ LayerSet AllLayers(const MultiLayerGraph& graph) {
 
 VertexSet IntersectSorted(const VertexSet& a, const VertexSet& b) {
   VertexSet out;
-  IntersectSortedInto(a, b, &out);
+  out.reserve(std::min(a.size(), b.size()));
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(out));
   return out;
 }
 
-void IntersectSortedInto(const VertexSet& a, const VertexSet& b,
-                         VertexSet* out) {
-  out->clear();
-  out->reserve(std::min(a.size(), b.size()));
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(*out));
+void FilterInto(const VertexSet& set, const Bitset& bits, VertexSet* out) {
+  // Every member is written and the cursor advances only past kept ones, so
+  // the pass has no data-dependent branch; the cursor never overtakes the
+  // read position, which makes the in-place form safe.
+  const size_t size = set.size();
+  out->resize(size);
+  VertexId* dst = out->data();
+  size_t kept = 0;
+  for (size_t i = 0; i < size; ++i) {
+    const VertexId v = set[i];
+    dst[kept] = v;
+    kept += bits.Test(static_cast<size_t>(v)) ? 1 : 0;
+  }
+  out->resize(kept);
 }
 
 VertexSet UnionSorted(const VertexSet& a, const VertexSet& b) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "util/bitset.h"
 #include "util/check.h"
 
 namespace mlcore {
@@ -180,10 +181,10 @@ LayerSet AllLayers(const MultiLayerGraph& graph);
 
 /// Intersection of two sorted vertex sets.
 VertexSet IntersectSorted(const VertexSet& a, const VertexSet& b);
-/// Buffer-reusing form: clears `*out` (which must alias neither input) and
-/// fills it with a ∩ b.
-void IntersectSortedInto(const VertexSet& a, const VertexSet& b,
-                         VertexSet* out);
+/// Fills `*out` (which may be `&set`) with the members of sorted `set`
+/// whose bit is set in `bits`: IntersectSorted(set, b) for b's bitmap, in
+/// one branch-free pass over `set`. The one way to build a lattice scope.
+void FilterInto(const VertexSet& set, const Bitset& bits, VertexSet* out);
 /// Union of two sorted vertex sets.
 VertexSet UnionSorted(const VertexSet& a, const VertexSet& b);
 /// True iff sorted set `a` is a subset of sorted set `b`.

@@ -359,6 +359,46 @@ TEST(DccKernelTest, EmptyAndSingleVertexScopes) {
   }
 }
 
+// kQueue's witness scan prefetches 16 and 64 scope positions ahead; these
+// sizes sit on either side of both lookahead guards. Each scope is built
+// with capacity == size, so a guard that read scope[size] would be a heap
+// overflow under ASan. Run on a mapped MLG1 graph and on an owned one.
+TEST(DccKernelTest, PrefetchBoundaryScopes) {
+  const MultiLayerGraph mapped = GeneratedGraph(7);
+  ASSERT_GT(mapped.MappedBytes(), 0);
+  const MultiLayerGraph owned = PermutedIds(mapped, 107);
+  ASSERT_EQ(owned.MappedBytes(), 0);
+  const auto n = static_cast<size_t>(mapped.NumVertices());
+  for (const MultiLayerGraph* graph : {&mapped, &owned}) {
+    DccSolver solver(*graph);
+    Rng rng(graph == &mapped ? 1 : 2);
+    std::vector<VertexId> perm(n);
+    std::iota(perm.begin(), perm.end(), 0);
+    for (size_t size : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
+                        size_t{17}, size_t{63}, size_t{64}, size_t{65}, n}) {
+      std::shuffle(perm.begin(), perm.end(), rng.engine());
+      VertexSet random(perm.begin(), perm.begin() + static_cast<long>(size));
+      std::sort(random.begin(), random.end());
+      // The highest ids: the last scope entry's row is the CSR's last.
+      VertexSet tail(size);
+      std::iota(tail.begin(), tail.end(), static_cast<VertexId>(n - size));
+      for (const VertexSet* scope : {&random, &tail}) {
+        for (int d : {0, 1, 2, 4}) {
+          for (const LayerSet& layers :
+               {LayerSet{0}, LayerSet{1, 3}, LayerSet{0, 1, 2, 3}}) {
+            ExpectEnginesMatchNaive(
+                solver, *graph, layers, d, *scope,
+                "mapped=" + std::to_string(graph == &mapped) +
+                    " size=" + std::to_string(size) +
+                    " tail=" + std::to_string(scope == &tail) +
+                    " d=" + std::to_string(d) + " L=" + LayerString(layers));
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(DccKernelTest, SolverReuseAcrossGrowingAndShrinkingLayerSets) {
   // One solver, |L| growing to l and shrinking back, scopes and d varying,
   // engines interleaved: every answer must equal a fresh solver's.

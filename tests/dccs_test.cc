@@ -14,6 +14,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "test_temp.h"
+#include "util/rng.h"
 
 namespace mlcore {
 namespace {
@@ -399,6 +400,174 @@ TEST(DccsTest, InjectedExecutionMatchesSelfContained) {
         }
       }
     }
+  }
+}
+
+// GD's candidate family F in subset-index order: the d-CC of every size-s
+// layer subset among the first `prefix`, empty ones dropped.
+std::vector<ResultCore> CandidatePrefix(const MultiLayerGraph& graph,
+                                        const DccsParams& params,
+                                        int64_t prefix) {
+  std::vector<ResultCore> candidates;
+  int64_t index = 0;
+  ForEachLayerCombination(
+      graph.NumLayers(), params.s, [&](const LayerSet& layers) {
+        if (index++ >= prefix) return;
+        VertexSet core = CoherentCore(graph, layers, params.d);
+        if (!core.empty()) candidates.push_back({layers, std::move(core)});
+      });
+  return candidates;
+}
+
+// The paper's eager selection (Fig 2, lines 8–10): each round scans every
+// untaken candidate and takes the first of maximal marginal gain, zero
+// gains included, until k are taken or none is left.
+std::vector<ResultCore> EagerSelect(std::vector<ResultCore> candidates, int k,
+                                    int32_t n) {
+  std::vector<bool> covered(static_cast<size_t>(n), false);
+  std::vector<bool> taken(candidates.size(), false);
+  std::vector<ResultCore> selected;
+  for (int round = 0; round < k; ++round) {
+    int64_t best_gain = -1;
+    size_t best = candidates.size();
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      if (taken[c]) continue;
+      int64_t gain = 0;
+      for (VertexId v : candidates[c].vertices) {
+        if (!covered[static_cast<size_t>(v)]) ++gain;
+      }
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = c;
+      }
+    }
+    if (best == candidates.size()) break;
+    taken[best] = true;
+    for (VertexId v : candidates[best].vertices) {
+      covered[static_cast<size_t>(v)] = true;
+    }
+    selected.push_back(std::move(candidates[best]));
+  }
+  return selected;
+}
+
+// GD's lazy selection against the eager reference at k ∈ {1, 5, |F|,
+// |F| + 3}: the same cores in the same order, one accepted update each.
+void ExpectLazyMatchesEager(const MultiLayerGraph& graph, DccsParams params,
+                            const std::string& label) {
+  const std::vector<ResultCore> candidates = CandidatePrefix(
+      graph, params, BinomialCoefficient(graph.NumLayers(), params.s));
+  const int family = static_cast<int>(candidates.size());
+  for (int k : {1, 5, family, family + 3}) {
+    if (k < 1) continue;
+    params.k = k;
+    const DccsResult result = GreedyDccs(graph, params);
+    const std::vector<ResultCore> expected =
+        EagerSelect(candidates, k, graph.NumVertices());
+    EXPECT_EQ(result.cores, expected) << label << " k=" << k;
+    EXPECT_EQ(result.stats.updates_accepted,
+              static_cast<int64_t>(expected.size()))
+        << label << " k=" << k;
+  }
+}
+
+void AddClique(GraphBuilder& builder, const VertexSet& vertices,
+               const LayerSet& layers) {
+  for (size_t i = 0; i < vertices.size(); ++i) {
+    for (size_t j = i + 1; j < vertices.size(); ++j) {
+      builder.AddEdgeOnLayers(layers, vertices[i], vertices[j]);
+    }
+  }
+}
+
+TEST(GreedySelectionTest, TiesBreakToTheFirstCandidate) {
+  DccsParams params;
+  params.d = 3;
+  params.s = 2;
+  {
+    // One clique on every layer: all six candidates are the same core, so
+    // every round after the first takes a zero-gain duplicate.
+    GraphBuilder builder(12, 4);
+    AddClique(builder, {0, 1, 2, 3, 4, 5}, {0, 1, 2, 3});
+    AddClique(builder, {6, 7, 8, 9, 10}, {2, 3});
+    ExpectLazyMatchesEager(builder.Build(), params, "duplicates");
+  }
+  {
+    // Equal-size disjoint cores on {0,1}, {2,3}, {4,5}, planted in reverse
+    // id order, so only the index tie-break orders them.
+    GraphBuilder builder(18, 6);
+    AddClique(builder, {12, 13, 14, 15, 16, 17}, {0, 1});
+    AddClique(builder, {6, 7, 8, 9, 10, 11}, {2, 3});
+    AddClique(builder, {0, 1, 2, 3, 4, 5}, {4, 5});
+    ExpectLazyMatchesEager(builder.Build(), params, "disjoint");
+  }
+  {
+    // Overlapping equal-size cores: after the first pick the others' gains
+    // tie again at a smaller value.
+    GraphBuilder builder(16, 4);
+    AddClique(builder, {0, 1, 2, 3, 4, 5}, {0, 1});
+    AddClique(builder, {4, 5, 6, 7, 8, 9}, {1, 2});
+    AddClique(builder, {8, 9, 10, 11, 12, 13}, {2, 3});
+    AddClique(builder, {2, 3, 10, 11, 14, 15}, {0, 3});
+    ExpectLazyMatchesEager(builder.Build(), params, "overlapping");
+  }
+}
+
+TEST(GreedySelectionTest, LazyMatchesEagerOnGeneratedInstances) {
+  // Small cliques of nearly equal size on random layer sets, so candidate
+  // cores often coincide, overlap or tie in gain.
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    Rng rng(seed);
+    const int32_t n = 48;
+    const int32_t l = 5;
+    GraphBuilder builder(n, l);
+    for (int c = 0; c < 7; ++c) {
+      VertexSet vertices;
+      const auto size = static_cast<size_t>(rng.Uniform(4, 6));
+      while (vertices.size() < size) {
+        const auto v = static_cast<VertexId>(rng.Uniform(0, n - 1));
+        if (std::find(vertices.begin(), vertices.end(), v) ==
+            vertices.end()) {
+          vertices.push_back(v);
+        }
+      }
+      LayerSet layers;
+      for (LayerId layer = 0; layer < l; ++layer) {
+        if (rng.Bernoulli(0.5)) layers.push_back(layer);
+      }
+      AddClique(builder, vertices, layers);
+    }
+    const MultiLayerGraph graph = builder.Build();
+    DccsParams params;
+    params.d = 3;
+    params.s = static_cast<int>(rng.Uniform(1, 3));
+    ExpectLazyMatchesEager(graph, params,
+                           "seed=" + std::to_string(seed) +
+                               " s=" + std::to_string(params.s));
+  }
+}
+
+// A budgeted run selects over the candidates evaluated before the budget
+// fired, which without a pool are a prefix of F in subset order.
+TEST(GreedySelectionTest, BudgetedRunSelectsOverEvaluatedPrefix) {
+  const MultiLayerGraph graph = SmallPlanted(5, 600, 8);
+  DccsParams params;
+  params.d = 3;
+  params.s = 3;
+  params.k = 6;
+  const int64_t total = BinomialCoefficient(graph.NumLayers(), params.s);
+  const double full = GreedyDccs(graph, params).stats.search_seconds;
+  for (double fraction : {0.0, 0.25, 0.5, 2.0}) {
+    params.time_budget_seconds = full * fraction + 1e-9;
+    const DccsResult result = GreedyDccs(graph, params);
+    const int64_t prefix = result.stats.candidates_generated;
+    ASSERT_LE(prefix, total);
+    EXPECT_EQ(result.stats.budget_exhausted, prefix < total);
+    const std::vector<ResultCore> expected = EagerSelect(
+        CandidatePrefix(graph, params, prefix), params.k, graph.NumVertices());
+    EXPECT_EQ(result.cores, expected) << "prefix=" << prefix;
+    EXPECT_EQ(result.stats.updates_accepted,
+              static_cast<int64_t>(expected.size()));
   }
 }
 

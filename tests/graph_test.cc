@@ -10,6 +10,8 @@
 #include "graph/io.h"
 #include "graph/multilayer_graph.h"
 #include "graph/sampling.h"
+#include "util/bitset.h"
+#include "util/rng.h"
 
 namespace mlcore {
 namespace {
@@ -95,6 +97,33 @@ TEST(MultiLayerGraphTest, SetHelpers) {
   EXPECT_TRUE(IsSubsetSorted({2, 3}, {1, 2, 3, 4}));
   EXPECT_FALSE(IsSubsetSorted({2, 5}, {1, 2, 3, 4}));
   EXPECT_TRUE(IsSubsetSorted({}, {1}));
+}
+
+// FilterInto is how the searches build lattice scopes: with `bits` the
+// bitmap of a sorted set b it must equal IntersectSorted(set, b), out of
+// place (over a stale, differently sized buffer) and in place.
+TEST(MultiLayerGraphTest, FilterIntoMatchesIntersectSorted) {
+  Rng rng(17);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{300}}) {
+    for (double set_p : {0.0, 0.3, 1.0}) {
+      for (double bit_p : {0.0, 0.5, 1.0}) {
+        VertexSet set;
+        Bitset bits(n);
+        for (size_t v = 0; v < n; ++v) {
+          if (rng.Bernoulli(set_p)) set.push_back(static_cast<VertexId>(v));
+          if (rng.Bernoulli(bit_p)) bits.Set(v);
+        }
+        const VertexSet expected = IntersectSorted(set, bits.ToVector());
+        VertexSet out(static_cast<size_t>(rng.Uniform(0, 400)), -1);
+        FilterInto(set, bits, &out);
+        EXPECT_EQ(out, expected) << "n=" << n << " set_p=" << set_p
+                                 << " bit_p=" << bit_p;
+        FilterInto(set, bits, &set);
+        EXPECT_EQ(set, expected) << "in place, n=" << n;
+      }
+    }
+  }
 }
 
 TEST(IoTest, SaveLoadRoundTrip) {
