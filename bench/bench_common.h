@@ -75,26 +75,32 @@ struct BenchContext {
 
   /// Loads (and memoises) a dataset at the configured scale, backed by an
   /// on-disk cache shared across the figure binaries (generation of the
-  /// large graphs costs minutes; a cached load costs ~1 s).
+  /// large graphs costs minutes). The cache is the MLG1 + `.meta` pair of
+  /// SaveDataset, written atomically; a cached load maps the graph instead
+  /// of parsing it, and a missing or invalid cache is regenerated.
   const Dataset& Load(const std::string& name) {
     for (const auto& d : cache_) {
       if (d->name == name) return *d;
     }
     // Bump kCacheVersion whenever the generator or the dataset specs
     // change; stale caches would silently skew every figure.
-    constexpr int kCacheVersion = 2;
+    constexpr int kCacheVersion = 3;
     char cache_path[256];
     std::snprintf(cache_path, sizeof(cache_path),
                   "/tmp/mlcore_dataset_v%d_%s_%04d", kCacheVersion,
                   name.c_str(), static_cast<int>(scale * 1000));
     auto dataset = std::make_unique<Dataset>();
-    if (LoadDataset(cache_path, dataset.get()) && dataset->name == name) {
+    if (LoadDataset(cache_path, dataset.get()).ok() &&
+        dataset->name == name) {
       std::printf("[bench] loaded dataset '%s' from cache\n", name.c_str());
     } else {
       std::printf("[bench] generating dataset '%s' (scale %.2f)...\n",
                   name.c_str(), scale);
       *dataset = MakeDataset(name, scale);
-      SaveDataset(*dataset, cache_path);
+      if (Status saved = SaveDataset(*dataset, cache_path); !saved.ok()) {
+        std::printf("[bench] dataset cache not written: %s\n",
+                    saved.message.c_str());
+      }
     }
     cache_.push_back(std::move(dataset));
     return *cache_.back();

@@ -37,16 +37,16 @@ std::string FormatComparisonJson(const mlcore::MultiLayerGraph& graph,
                                  const std::string& source) {
   const std::string text_path = "/tmp/mlcore_bench_format.txt";
   const std::string bin_path = "/tmp/mlcore_bench_format.mlg";
-  mlcore::IoStatus saved = SaveMultiLayerGraph(graph, text_path);
-  MLCORE_CHECK_MSG(saved.ok, saved.error.c_str());
+  mlcore::Status saved = SaveMultiLayerGraph(graph, text_path);
+  MLCORE_CHECK_MSG(saved.ok(), saved.message.c_str());
   mlcore::Status written = mlcore::format::WriteMlgGraph(graph, bin_path);
   MLCORE_CHECK_MSG(written.ok(), written.message.c_str());
 
   mlcore::MultiLayerGraph from_text;
   mlcore::WallTimer text_timer;
-  mlcore::IoStatus loaded = LoadMultiLayerGraph(text_path, &from_text);
+  mlcore::Status loaded = LoadMultiLayerGraph(text_path, &from_text);
   const double text_ms = text_timer.Millis();
-  MLCORE_CHECK_MSG(loaded.ok, loaded.error.c_str());
+  MLCORE_CHECK_MSG(loaded.ok(), loaded.message.c_str());
 
   mlcore::MultiLayerGraph mapped;
   mlcore::format::MlgLoadStats stats;

@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
                 "/tmp/mlcore_demo.txt\n");
     mlcore::Dataset demo = mlcore::MakeDataset("ppi");
     path = "/tmp/mlcore_demo.txt";
-    mlcore::IoStatus saved = SaveMultiLayerGraph(demo.graph, path);
-    if (!saved.ok) {
-      std::fprintf(stderr, "error: %s\n", saved.error.c_str());
+    mlcore::Status saved = SaveMultiLayerGraph(demo.graph, path);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "error: %s\n", saved.message.c_str());
       return 1;
     }
   }
@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
                  binary_path.c_str(), load_stats.load_ms,
                  static_cast<double>(load_stats.mapped_bytes) / (1 << 20));
   } else {
-    mlcore::IoStatus status = LoadMultiLayerGraph(path, &graph);
-    if (!status.ok) {
-      std::fprintf(stderr, "error: %s\n", status.error.c_str());
+    mlcore::Status status = LoadMultiLayerGraph(path, &graph);
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.message.c_str());
       return 1;
     }
   }
@@ -303,9 +303,9 @@ int main(int argc, char** argv) {
   const std::string updates_path = flags.GetString("updates", "");
   if (!updates_path.empty()) {
     std::vector<mlcore::UpdateBatch> batches;
-    mlcore::IoStatus loaded = LoadUpdateStream(updates_path, &batches);
-    if (!loaded.ok) {
-      std::fprintf(stderr, "error: %s\n", loaded.error.c_str());
+    mlcore::Status loaded = LoadUpdateStream(updates_path, &batches);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "error: %s\n", loaded.message.c_str());
       return 1;
     }
     const bool subscribe = flags.GetBool("subscribe", false);

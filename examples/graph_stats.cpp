@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   mlcore::MultiLayerGraph graph;
   std::string source = flags.GetString("graph", "");
   if (!source.empty()) {
-    mlcore::IoStatus status = LoadMultiLayerGraph(source, &graph);
-    if (!status.ok) {
-      std::fprintf(stderr, "error: %s\n", status.error.c_str());
+    mlcore::Status status = LoadMultiLayerGraph(source, &graph);
+    if (!status.ok()) {
+      std::fprintf(stderr, "error: %s\n", status.message.c_str());
       return 1;
     }
   } else {

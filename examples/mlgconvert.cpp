@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", status.message.c_str());
       return 1;
     }
-    mlcore::IoStatus saved = SaveMultiLayerGraph(graph, out);
-    if (!saved.ok) {
-      std::fprintf(stderr, "error: %s\n", saved.error.c_str());
+    mlcore::Status saved = SaveMultiLayerGraph(graph, out);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "error: %s\n", saved.message.c_str());
       return 1;
     }
     std::fprintf(stderr,
@@ -69,9 +69,9 @@ int main(int argc, char** argv) {
   }
 
   mlcore::MultiLayerGraph graph;
-  mlcore::IoStatus loaded = LoadMultiLayerGraph(in, &graph);
-  if (!loaded.ok) {
-    std::fprintf(stderr, "error: %s\n", loaded.error.c_str());
+  mlcore::Status loaded = LoadMultiLayerGraph(in, &graph);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "error: %s\n", loaded.message.c_str());
     return 1;
   }
   mlcore::Status status = mlcore::format::WriteMlgGraph(graph, out);

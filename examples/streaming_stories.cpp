@@ -271,10 +271,10 @@ int main() {
   // Round-trip the stream through the text format — the same file feeds
   // `dccs_cli --graph=... --updates=stream.txt [--subscribe]`.
   const std::string stream_path = "/tmp/mlcore_story_stream.txt";
-  mlcore::IoStatus saved = SaveUpdateStream(stream, stream_path);
-  MLCORE_CHECK_MSG(saved.ok, saved.error.c_str());
+  mlcore::Status saved = SaveUpdateStream(stream, stream_path);
+  MLCORE_CHECK_MSG(saved.ok(), saved.message.c_str());
   std::vector<mlcore::UpdateBatch> replayed;
-  MLCORE_CHECK(LoadUpdateStream(stream_path, &replayed).ok);
+  MLCORE_CHECK(LoadUpdateStream(stream_path, &replayed).ok());
   MLCORE_CHECK(replayed.size() == stream.size());
   std::printf("update stream round-tripped through %s (%zu batches)\n",
               stream_path.c_str(), replayed.size());

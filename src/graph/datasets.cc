@@ -1,11 +1,14 @@
 #include "graph/datasets.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <type_traits>
 
-#include "graph/io.h"
+#include "format/mlg.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -83,6 +86,44 @@ std::vector<VertexSet> DeriveComplexes(
   return complexes;
 }
 
+/// Writes one cache file under a temporary name in the same directory and
+/// renames it over `path`. A reader never sees a half-written file, and one
+/// that still has the previous file mapped keeps reading intact bytes (an
+/// in-place truncation would SIGBUS it).
+template <typename Write>
+Status WriteAtomically(const std::string& path, Write write) {
+  const std::string temp = path + ".tmp" + std::to_string(::getpid());
+  Status status = write(temp);
+  if (status.ok() && std::rename(temp.c_str(), path.c_str()) != 0) {
+    status = Status::InvalidArgument("cannot rename " + temp + " to " + path);
+  }
+  if (!status.ok()) std::remove(temp.c_str());
+  return status;
+}
+
+/// The `.meta` sidecar: the name and the planted ground truth as text.
+Status WriteMeta(const Dataset& dataset, const std::string& path) {
+  std::ofstream meta(path);
+  meta << dataset.name << "\n";
+  meta << dataset.communities.size() << "\n";
+  for (const auto& community : dataset.communities) {
+    meta << community.internal_prob << " " << community.layers.size();
+    for (LayerId layer : community.layers) meta << " " << layer;
+    meta << " " << community.vertices.size();
+    for (VertexId v : community.vertices) meta << " " << v;
+    meta << "\n";
+  }
+  meta << dataset.complexes.size() << "\n";
+  for (const auto& complex : dataset.complexes) {
+    meta << complex.size();
+    for (VertexId v : complex) meta << " " << v;
+    meta << "\n";
+  }
+  meta.close();
+  if (!meta) return Status::InvalidArgument("cannot write " + path);
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::vector<std::string> DatasetNames() {
@@ -124,67 +165,52 @@ Dataset MakeDataset(const std::string& name, double scale) {
   return dataset;
 }
 
-bool SaveDataset(const Dataset& dataset, const std::string& path) {
-  if (!SaveMultiLayerGraphBinary(dataset.graph, path + ".graph").ok) {
-    return false;
-  }
-  std::ofstream meta(path + ".meta");
-  if (!meta) return false;
-  meta << dataset.name << "\n";
-  meta << dataset.communities.size() << "\n";
-  for (const auto& community : dataset.communities) {
-    meta << community.internal_prob << " " << community.layers.size();
-    for (LayerId layer : community.layers) meta << " " << layer;
-    meta << " " << community.vertices.size();
-    for (VertexId v : community.vertices) meta << " " << v;
-    meta << "\n";
-  }
-  meta << dataset.complexes.size() << "\n";
-  for (const auto& complex : dataset.complexes) {
-    meta << complex.size();
-    for (VertexId v : complex) meta << " " << v;
-    meta << "\n";
-  }
-  return static_cast<bool>(meta);
+Status SaveDataset(const Dataset& dataset, const std::string& path) {
+  Status status = WriteAtomically(path + ".mlg", [&](const std::string& temp) {
+    return format::WriteMlgGraph(dataset.graph, temp);
+  });
+  if (!status.ok()) return status;
+  return WriteAtomically(path + ".meta", [&](const std::string& temp) {
+    return WriteMeta(dataset, temp);
+  });
 }
 
-bool LoadDataset(const std::string& path, Dataset* dataset) {
-  if (!LoadMultiLayerGraphBinary(path + ".graph", &dataset->graph).ok) {
-    return false;
-  }
-  std::ifstream meta(path + ".meta");
-  if (!meta) return false;
-  size_t community_count = 0;
-  if (!(meta >> dataset->name >> community_count)) return false;
+Status LoadDataset(const std::string& path, Dataset* dataset) {
+  Status status = format::LoadMlgGraph(path + ".mlg", &dataset->graph);
+  if (!status.ok()) return status;
+  const std::string meta_path = path + ".meta";
+  std::ifstream meta(meta_path);
+  // Lists grow element by element, so a corrupt count fails at the end of
+  // the file instead of allocating up front.
+  auto read_list = [&meta](auto* values) {
+    size_t size = 0;
+    if (!(meta >> size)) return false;
+    values->clear();
+    while (values->size() < size) {
+      typename std::decay_t<decltype(*values)>::value_type value{};
+      if (!(meta >> value)) return false;
+      values->push_back(value);
+    }
+    return true;
+  };
+  size_t count = 0;
+  bool ok = static_cast<bool>(meta >> dataset->name >> count);
   dataset->communities.clear();
+  while (ok && dataset->communities.size() < count) {
+    PlantedCommunity& community = dataset->communities.emplace_back();
+    ok = (meta >> community.internal_prob) && read_list(&community.layers) &&
+         read_list(&community.vertices);
+  }
+  ok = ok && (meta >> count);
   dataset->complexes.clear();
-  for (size_t c = 0; c < community_count; ++c) {
-    PlantedCommunity community;
-    size_t layer_count = 0, vertex_count = 0;
-    if (!(meta >> community.internal_prob >> layer_count)) return false;
-    community.layers.resize(layer_count);
-    for (auto& layer : community.layers) {
-      if (!(meta >> layer)) return false;
-    }
-    if (!(meta >> vertex_count)) return false;
-    community.vertices.resize(vertex_count);
-    for (auto& v : community.vertices) {
-      if (!(meta >> v)) return false;
-    }
-    dataset->communities.push_back(std::move(community));
+  while (ok && dataset->complexes.size() < count) {
+    ok = read_list(&dataset->complexes.emplace_back());
   }
-  size_t complex_count = 0;
-  if (!(meta >> complex_count)) return false;
-  for (size_t c = 0; c < complex_count; ++c) {
-    size_t vertex_count = 0;
-    if (!(meta >> vertex_count)) return false;
-    VertexSet complex(vertex_count);
-    for (auto& v : complex) {
-      if (!(meta >> v)) return false;
-    }
-    dataset->complexes.push_back(std::move(complex));
+  if (!ok) {
+    return Status::InvalidArgument(meta_path +
+                                   ": missing or malformed dataset metadata");
   }
-  return true;
+  return Status::Ok();
 }
 
 }  // namespace mlcore

@@ -6,6 +6,7 @@
 
 #include "graph/generators.h"
 #include "graph/multilayer_graph.h"
+#include "service/status.h"
 
 namespace mlcore {
 
@@ -32,12 +33,17 @@ std::vector<std::string> DatasetNames();
 /// scale = 1 reproduces the benchmark configuration.
 Dataset MakeDataset(const std::string& name, double scale = 1.0);
 
-/// Serialises a dataset (graph in the binary format of graph/io.h, plus
-/// the planted ground truth) to `path` / loads it back. Returns false on
-/// any I/O or format error. Used by the benchmark harness to avoid
-/// regenerating the large datasets in every figure binary.
-bool SaveDataset(const Dataset& dataset, const std::string& path);
-bool LoadDataset(const std::string& path, Dataset* dataset);
+/// The benchmark harness's dataset cache, so the figure binaries do not
+/// regenerate the large datasets each run. `SaveDataset` writes two files:
+/// `<path>.mlg`, the graph as an MLG1 container (format/mlg.h), and
+/// `<path>.meta`, the name and planted ground truth as text. Each is
+/// written under a temporary name and renamed into place, so a concurrent
+/// reader that has the previous graph mapped keeps intact bytes.
+/// `LoadDataset` maps the graph zero-copy (`graph.MappedBytes() > 0`).
+/// Both return a kInvalidArgument `Status` naming the file on any I/O or
+/// format error.
+Status SaveDataset(const Dataset& dataset, const std::string& path);
+Status LoadDataset(const std::string& path, Dataset* dataset);
 
 }  // namespace mlcore
 

@@ -1,10 +1,13 @@
 #include "graph/io.h"
 
+#include <sys/types.h>
+
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
 #include <string_view>
 #include <unordered_set>
 
@@ -14,58 +17,6 @@ namespace mlcore {
 
 namespace {
 
-/// Chunked line scanner over a stdio stream: 1 MiB reads, lines handed out
-/// as views into the buffer (no per-line allocation except for lines that
-/// straddle a chunk boundary). The buffered replacement for the previous
-/// `std::getline` + `istringstream` parse, which cost a stream round-trip
-/// and an allocation per edge row.
-class LineScanner {
- public:
-  explicit LineScanner(std::FILE* file) : file_(file) {}
-
-  /// Advances to the next line (excluding the terminator). Returns false
-  /// at end of input. Views stay valid until the next call.
-  bool Next(std::string_view* line) {
-    carry_.clear();
-    while (true) {
-      if (pos_ < len_) {
-        const char* begin = buffer_ + pos_;
-        const auto* nl = static_cast<const char*>(
-            std::memchr(begin, '\n', len_ - pos_));
-        if (nl != nullptr) {
-          const size_t count = static_cast<size_t>(nl - begin);
-          pos_ += count + 1;
-          if (carry_.empty()) {
-            *line = {begin, count};
-          } else {
-            carry_.append(begin, count);
-            *line = carry_;
-          }
-          return true;
-        }
-        carry_.append(begin, len_ - pos_);
-        pos_ = len_;
-      }
-      len_ = std::fread(buffer_, 1, sizeof(buffer_), file_);
-      pos_ = 0;
-      if (len_ == 0) {
-        if (carry_.empty()) return false;
-        *line = carry_;  // final line without a trailing newline
-        return true;
-      }
-    }
-  }
-
- private:
-  std::FILE* file_;
-  char buffer_[1 << 20];
-  size_t pos_ = 0;
-  size_t len_ = 0;
-  std::string carry_;
-};
-
-enum class FieldResult { kOk, kMalformed, kOutOfRange };
-
 bool IsFieldSpace(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 
 void SkipSpace(std::string_view* rest) {
@@ -73,6 +24,76 @@ void SkipSpace(std::string_view* rest) {
     rest->remove_prefix(1);
   }
 }
+
+/// True when only field space is left: a record is exactly its fields.
+bool AtEnd(std::string_view rest) {
+  SkipSpace(&rest);
+  return rest.empty();
+}
+
+/// Splits the next whitespace-delimited token off the front of `rest`.
+std::string_view NextToken(std::string_view* rest) {
+  SkipSpace(rest);
+  size_t size = 0;
+  while (size < rest->size() && !IsFieldSpace((*rest)[size])) ++size;
+  const std::string_view token = rest->substr(0, size);
+  rest->remove_prefix(size);
+  return token;
+}
+
+/// Record reader shared by both text formats: stdio-buffered `getline`
+/// into one reused buffer, blank and `#` comment lines skipped, and
+/// failures reported with the current `path:line:`.
+class LineScanner {
+ public:
+  explicit LineScanner(const std::string& path)
+      : path_(path), file_(std::fopen(path.c_str(), "rb")) {}
+  ~LineScanner() {
+    std::free(line_);
+    if (file_ != nullptr) std::fclose(file_);
+  }
+  LineScanner(const LineScanner&) = delete;
+  LineScanner& operator=(const LineScanner&) = delete;
+
+  bool is_open() const { return file_ != nullptr; }
+
+  /// Advances to the next record — a line that is neither blank nor a
+  /// comment — with its leading field space and line end stripped. Returns
+  /// false at end of input. Views stay valid until the next call.
+  bool NextRecord(std::string_view* record) {
+    ssize_t size = 0;
+    while ((size = ::getline(&line_, &capacity_, file_)) >= 0) {
+      ++line_no_;
+      *record = std::string_view(line_, static_cast<size_t>(size));
+      if (!record->empty() && record->back() == '\n') record->remove_suffix(1);
+      SkipSpace(record);
+      if (!record->empty() && record->front() != '#') return true;
+    }
+    return false;
+  }
+
+  /// OK unless NextRecord stopped on a read error (say, the path is a
+  /// directory) rather than at the end of the file.
+  Status ReadStatus() const {
+    if (std::ferror(file_) == 0) return Status::Ok();
+    return Status::InvalidArgument(path_ + ": read error");
+  }
+
+  /// An InvalidArgument status `path:line: what` for the current record.
+  Status Error(const std::string& what) const {
+    return Status::InvalidArgument(path_ + ":" + std::to_string(line_no_) +
+                                   ": " + what);
+  }
+
+ private:
+  std::string path_;
+  std::FILE* file_;
+  char* line_ = nullptr;  // getline's buffer, grown as needed
+  size_t capacity_ = 0;
+  size_t line_no_ = 0;
+};
+
+enum class FieldResult { kOk, kMalformed, kOutOfRange };
 
 /// Parses one whitespace-delimited integer field off the front of `rest`.
 /// Overflowing values are reported as kOutOfRange, not silently narrowed —
@@ -92,145 +113,142 @@ FieldResult ParseIntField(std::string_view* rest, long long* value) {
   return FieldResult::kOk;
 }
 
+/// Parses the rest of an update record: one id in [0, INT32_MAX] per entry
+/// of `values`, and nothing after them. Ids are range-checked before the
+/// int32 casts: a 64-bit value must never wrap into a (valid-looking)
+/// small id and silently describe a different update than the file does.
+bool ParseIds(std::string_view rest, std::initializer_list<long long*> values) {
+  for (long long* value : values) {
+    if (ParseIntField(&rest, value) != FieldResult::kOk || *value < 0 ||
+        *value > INT32_MAX) {
+      return false;
+    }
+  }
+  return AtEnd(rest);
+}
+
 }  // namespace
 
-IoStatus LoadMultiLayerGraph(const std::string& path, MultiLayerGraph* graph) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return IoStatus::Error("cannot open " + path);
+Status LoadMultiLayerGraph(const std::string& path, MultiLayerGraph* graph) {
+  LineScanner scanner(path);
+  if (!scanner.is_open()) return Status::InvalidArgument("cannot open " + path);
 
-  LineScanner scanner(file);
-  std::string_view line;
-  long long n = -1, l = -1;
-  GraphBuilder* builder = nullptr;
-  GraphBuilder storage(0, 1);
+  std::string_view rest;
+  if (!scanner.NextRecord(&rest)) {
+    return Status::InvalidArgument(path + ": missing header line");
+  }
+  // Header `n <vertices> <layers>`. Counts above INT32_MAX are a malformed
+  // header, not something to narrow into a small graph.
+  long long n = 0, l = 0;
+  if (NextToken(&rest) != "n" ||
+      ParseIntField(&rest, &n) != FieldResult::kOk ||
+      ParseIntField(&rest, &l) != FieldResult::kOk || !AtEnd(rest) || n < 0 ||
+      l < 1 || n > INT32_MAX || l > INT32_MAX) {
+    return scanner.Error("expected header 'n <vertices> <layers>'");
+  }
+  GraphBuilder builder(static_cast<int32_t>(n), static_cast<int32_t>(l));
   // Per-layer canonical (u << 32 | v) edge keys: a duplicate row is a
   // malformed file, not something to silently repair — the graph built
   // would otherwise differ from what the file plainly describes.
-  std::vector<std::unordered_set<uint64_t>> seen;
-  size_t line_no = 0;
-  auto fail = [&](const std::string& what) {
-    std::fclose(file);
-    return IoStatus::Error(path + ":" + std::to_string(line_no) + ": " +
-                           what);
-  };
-  while (scanner.Next(&line)) {
-    ++line_no;
-    std::string_view rest = line;
-    SkipSpace(&rest);
-    if (rest.empty() || rest.front() == '#') continue;
-    if (n < 0) {
-      // Header `n <vertices> <layers>`. Counts above INT32_MAX are a
-      // malformed header, not something to narrow into a small graph.
-      constexpr std::string_view kHeaderError =
-          "expected header 'n <vertices> <layers>'";
-      if (rest.front() != 'n' ||
-          (rest.size() > 1 && !IsFieldSpace(rest[1]))) {
-        return fail(std::string(kHeaderError));
-      }
-      rest.remove_prefix(1);
-      if (ParseIntField(&rest, &n) != FieldResult::kOk ||
-          ParseIntField(&rest, &l) != FieldResult::kOk || n < 0 || l < 1 ||
-          n > INT32_MAX || l > INT32_MAX) {
-        n = -1;
-        return fail(std::string(kHeaderError));
-      }
-      storage = GraphBuilder(static_cast<int32_t>(n), static_cast<int32_t>(l));
-      builder = &storage;
-      seen.resize(static_cast<size_t>(l));
-      continue;
-    }
+  std::vector<std::unordered_set<uint64_t>> seen(static_cast<size_t>(l));
+  while (scanner.NextRecord(&rest)) {
     long long layer = 0, u = 0, v = 0;
     FieldResult worst = FieldResult::kOk;
     for (long long* field : {&layer, &u, &v}) {
       const FieldResult r = ParseIntField(&rest, field);
       if (r == FieldResult::kMalformed) {
-        return fail("expected '<layer> <u> <v>'");
+        return scanner.Error("expected '<layer> <u> <v>'");
       }
       if (r == FieldResult::kOutOfRange) worst = r;
     }
+    if (!AtEnd(rest)) return scanner.Error("expected '<layer> <u> <v>'");
     if (worst == FieldResult::kOutOfRange || layer < 0 || layer >= l ||
         u < 0 || u >= n || v < 0 || v >= n) {
-      return fail("id out of range");
+      return scanner.Error("id out of range");
     }
     if (u == v) {
-      return fail("self-loop " + std::to_string(u) + "-" + std::to_string(v));
+      return scanner.Error("self-loop " + std::to_string(u) + "-" +
+                           std::to_string(v));
     }
     const uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32) |
                          static_cast<uint64_t>(std::max(u, v));
     if (!seen[static_cast<size_t>(layer)].insert(key).second) {
-      return fail("duplicate edge " + std::to_string(u) + "-" +
-                  std::to_string(v) + " on layer " + std::to_string(layer));
+      return scanner.Error("duplicate edge " + std::to_string(u) + "-" +
+                           std::to_string(v) + " on layer " +
+                           std::to_string(layer));
     }
-    builder->AddEdge(static_cast<LayerId>(layer), static_cast<VertexId>(u),
-                     static_cast<VertexId>(v));
+    builder.AddEdge(static_cast<LayerId>(layer), static_cast<VertexId>(u),
+                    static_cast<VertexId>(v));
   }
-  std::fclose(file);
-  if (n < 0) return IoStatus::Error(path + ": missing header line");
-  *graph = builder->Build();
-  return IoStatus::Ok();
+  *graph = builder.Build();
+  return Status::Ok();
 }
 
-IoStatus LoadUpdateStream(const std::string& path,
-                          std::vector<UpdateBatch>* batches) {
-  std::ifstream in(path);
-  if (!in) return IoStatus::Error("cannot open " + path);
+Status SaveMultiLayerGraph(const MultiLayerGraph& graph,
+                           const std::string& path) {
+  std::ofstream out(path);
+  out << "# mlcore multi-layer edge list\n";
+  out << "n " << graph.NumVertices() << " " << graph.NumLayers() << "\n";
+  for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
+    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
+      for (VertexId u : graph.Neighbors(layer, v)) {
+        if (v < u) out << layer << " " << v << " " << u << "\n";
+      }
+    }
+  }
+  if (!out) return Status::InvalidArgument("cannot write " + path);
+  return Status::Ok();
+}
+
+Status LoadUpdateStream(const std::string& path,
+                        std::vector<UpdateBatch>* batches) {
+  LineScanner scanner(path);
+  if (!scanner.is_open()) return Status::InvalidArgument("cannot open " + path);
 
   batches->clear();
   UpdateBatch batch;
-  std::string line;
-  size_t line_no = 0;
   auto flush = [&] {
     if (!batch.empty()) batches->push_back(std::move(batch));
     batch = UpdateBatch{};
   };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    std::string tag;
-    ss >> tag;
-    const std::string where = path + ":" + std::to_string(line_no) + ": ";
-    // Ids are range-checked before the int32 casts: a 64-bit value must
-    // never wrap into a (valid-looking) small id and silently describe a
-    // different update than the file does.
-    constexpr long long kMaxId = INT32_MAX;
+  std::string_view rest;
+  while (scanner.NextRecord(&rest)) {
+    const std::string_view tag = NextToken(&rest);
     if (tag == "+" || tag == "-") {
-      long long layer, u, v;
-      if (!(ss >> layer >> u >> v) || layer < 0 || u < 0 || v < 0 ||
-          layer > kMaxId || u > kMaxId || v > kMaxId) {
-        return IoStatus::Error(where + "expected '" + tag +
-                               " <layer> <u> <v>'");
+      long long layer = 0, u = 0, v = 0;
+      if (!ParseIds(rest, {&layer, &u, &v})) {
+        return scanner.Error("expected '" + std::string(tag) +
+                             " <layer> <u> <v>'");
       }
       EdgeUpdate edge{static_cast<LayerId>(layer), static_cast<VertexId>(u),
                       static_cast<VertexId>(v)};
       (tag == "+" ? batch.insert_edges : batch.remove_edges).push_back(edge);
     } else if (tag == "addv") {
-      long long count;
-      if (!(ss >> count) || count < 0 ||
-          count + batch.add_vertices > kMaxId) {
-        return IoStatus::Error(where + "expected 'addv <count>'");
+      long long count = 0;
+      if (!ParseIds(rest, {&count}) ||
+          count + batch.add_vertices > INT32_MAX) {
+        return scanner.Error("expected 'addv <count>'");
       }
       batch.add_vertices += static_cast<int32_t>(count);
     } else if (tag == "delv") {
-      long long v;
-      if (!(ss >> v) || v < 0 || v > kMaxId) {
-        return IoStatus::Error(where + "expected 'delv <v>'");
-      }
+      long long v = 0;
+      if (!ParseIds(rest, {&v})) return scanner.Error("expected 'delv <v>'");
       batch.remove_vertices.push_back(static_cast<VertexId>(v));
     } else if (tag == "commit") {
+      if (!AtEnd(rest)) return scanner.Error("expected 'commit'");
       flush();
     } else {
-      return IoStatus::Error(where + "unknown record '" + tag + "'");
+      return scanner.Error("unknown record '" + std::string(tag) + "'");
     }
   }
+  if (Status read = scanner.ReadStatus(); !read.ok()) return read;
   flush();
-  return IoStatus::Ok();
+  return Status::Ok();
 }
 
-IoStatus SaveUpdateStream(const std::vector<UpdateBatch>& batches,
-                          const std::string& path) {
+Status SaveUpdateStream(const std::vector<UpdateBatch>& batches,
+                        const std::string& path) {
   std::ofstream out(path);
-  if (!out) return IoStatus::Error("cannot open " + path + " for writing");
   out << "# mlcore edge-update stream\n";
   for (const UpdateBatch& batch : batches) {
     if (batch.add_vertices > 0) out << "addv " << batch.add_vertices << "\n";
@@ -243,109 +261,8 @@ IoStatus SaveUpdateStream(const std::vector<UpdateBatch>& batches,
     }
     out << "commit\n";
   }
-  if (!out) return IoStatus::Error("write failure on " + path);
-  return IoStatus::Ok();
-}
-
-namespace {
-
-constexpr char kBinaryMagic[6] = {'M', 'L', 'C', 'B', '1', '\n'};
-
-bool WriteRaw(std::FILE* f, const void* data, size_t bytes) {
-  return std::fwrite(data, 1, bytes, f) == bytes;
-}
-
-bool ReadRaw(std::FILE* f, void* data, size_t bytes) {
-  return std::fread(data, 1, bytes, f) == bytes;
-}
-
-}  // namespace
-
-IoStatus SaveMultiLayerGraphBinary(const MultiLayerGraph& graph,
-                                   const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return IoStatus::Error("cannot open " + path);
-  bool ok = WriteRaw(f, kBinaryMagic, sizeof(kBinaryMagic));
-  const int32_t n = graph.NumVertices();
-  const int32_t l = graph.NumLayers();
-  ok = ok && WriteRaw(f, &n, sizeof(n)) && WriteRaw(f, &l, sizeof(l));
-  std::vector<VertexId> pairs;
-  for (LayerId layer = 0; layer < l && ok; ++layer) {
-    pairs.clear();
-    for (VertexId v = 0; v < n; ++v) {
-      for (VertexId u : graph.Neighbors(layer, v)) {
-        if (v < u) {
-          pairs.push_back(v);
-          pairs.push_back(u);
-        }
-      }
-    }
-    const auto edge_count = static_cast<int64_t>(pairs.size() / 2);
-    ok = ok && WriteRaw(f, &edge_count, sizeof(edge_count)) &&
-         (pairs.empty() ||
-          WriteRaw(f, pairs.data(), pairs.size() * sizeof(VertexId)));
-  }
-  std::fclose(f);
-  if (!ok) return IoStatus::Error("write failure on " + path);
-  return IoStatus::Ok();
-}
-
-IoStatus LoadMultiLayerGraphBinary(const std::string& path,
-                                   MultiLayerGraph* graph) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return IoStatus::Error("cannot open " + path);
-  char magic[sizeof(kBinaryMagic)];
-  int32_t n = 0, l = 0;
-  if (!ReadRaw(f, magic, sizeof(magic)) ||
-      std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0 ||
-      !ReadRaw(f, &n, sizeof(n)) || !ReadRaw(f, &l, sizeof(l)) || n < 0 ||
-      l < 1) {
-    std::fclose(f);
-    return IoStatus::Error(path + ": not an mlcore binary graph");
-  }
-  GraphBuilder builder(n, l);
-  std::vector<VertexId> pairs;
-  for (LayerId layer = 0; layer < l; ++layer) {
-    int64_t edge_count = 0;
-    if (!ReadRaw(f, &edge_count, sizeof(edge_count)) || edge_count < 0) {
-      std::fclose(f);
-      return IoStatus::Error(path + ": truncated layer header");
-    }
-    pairs.resize(static_cast<size_t>(edge_count) * 2);
-    if (!pairs.empty() &&
-        !ReadRaw(f, pairs.data(), pairs.size() * sizeof(VertexId))) {
-      std::fclose(f);
-      return IoStatus::Error(path + ": truncated edge data");
-    }
-    for (size_t e = 0; e + 1 < pairs.size(); e += 2) {
-      if (pairs[e] < 0 || pairs[e] >= n || pairs[e + 1] < 0 ||
-          pairs[e + 1] >= n) {
-        std::fclose(f);
-        return IoStatus::Error(path + ": vertex id out of range");
-      }
-      builder.AddEdge(layer, pairs[e], pairs[e + 1]);
-    }
-  }
-  std::fclose(f);
-  *graph = builder.Build();
-  return IoStatus::Ok();
-}
-
-IoStatus SaveMultiLayerGraph(const MultiLayerGraph& graph,
-                             const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return IoStatus::Error("cannot open " + path + " for writing");
-  out << "# mlcore multi-layer edge list\n";
-  out << "n " << graph.NumVertices() << " " << graph.NumLayers() << "\n";
-  for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
-    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-      for (VertexId u : graph.Neighbors(layer, v)) {
-        if (v < u) out << layer << " " << v << " " << u << "\n";
-      }
-    }
-  }
-  if (!out) return IoStatus::Error("write failure on " + path);
-  return IoStatus::Ok();
+  if (!out) return Status::InvalidArgument("cannot write " + path);
+  return Status::Ok();
 }
 
 }  // namespace mlcore

@@ -5,20 +5,17 @@
 #include <vector>
 
 #include "graph/multilayer_graph.h"
+#include "service/status.h"
 #include "store/update.h"
 
+// The library's two text formats, edge lists and edge-update streams
+// (binary graphs are MLG1 only: format/mlg.h). Both loaders share one
+// tokenizer: fields are separated by spaces or tabs, CRLF line ends and
+// indented `#` comments are fine, and a record is exactly its fields — a
+// trailing field or a non-integer tail (`2.5`, `3x`) is malformed. Every
+// failure is a kInvalidArgument `Status` with a `path:line:` message.
+
 namespace mlcore {
-
-/// Result of an I/O operation. `ok` is true on success; otherwise `error`
-/// holds a human-readable description. (The library avoids exceptions on
-/// I/O paths, following the status-return idiom.)
-struct IoStatus {
-  bool ok = true;
-  std::string error;
-
-  static IoStatus Ok() { return {}; }
-  static IoStatus Error(std::string message) { return {false, std::move(message)}; }
-};
 
 /// Text format for multi-layer edge lists:
 ///
@@ -34,19 +31,11 @@ struct IoStatus {
 /// edges (within a layer, in either endpoint order) are rejected with a
 /// `path:line:` error instead of silently building a different graph than
 /// the file describes.
-IoStatus LoadMultiLayerGraph(const std::string& path, MultiLayerGraph* graph);
+Status LoadMultiLayerGraph(const std::string& path, MultiLayerGraph* graph);
 
 /// Writes `graph` in the format documented at LoadMultiLayerGraph.
-IoStatus SaveMultiLayerGraph(const MultiLayerGraph& graph,
-                             const std::string& path);
-
-/// Compact binary format (magic "MLCB1", little-endian int32/int64 edge
-/// pairs per layer). Roughly 50x faster to load than the text format;
-/// used by the benchmark harness to cache generated datasets.
-IoStatus SaveMultiLayerGraphBinary(const MultiLayerGraph& graph,
-                                   const std::string& path);
-IoStatus LoadMultiLayerGraphBinary(const std::string& path,
-                                   MultiLayerGraph* graph);
+Status SaveMultiLayerGraph(const MultiLayerGraph& graph,
+                           const std::string& path);
 
 /// Text format for edge-update streams (store/update.h), the replay input
 /// of `dccs_cli --updates` and the `streaming_stories` example. One record
@@ -63,12 +52,12 @@ IoStatus LoadMultiLayerGraphBinary(const std::string& path,
 /// records are dropped. Ids are validated structurally here (non-negative,
 /// well-formed); graph-dependent validation (ranges, existence) happens in
 /// `GraphStore::ApplyUpdate`.
-IoStatus LoadUpdateStream(const std::string& path,
-                          std::vector<UpdateBatch>* batches);
+Status LoadUpdateStream(const std::string& path,
+                        std::vector<UpdateBatch>* batches);
 
 /// Writes `batches` in the format documented at LoadUpdateStream.
-IoStatus SaveUpdateStream(const std::vector<UpdateBatch>& batches,
-                          const std::string& path);
+Status SaveUpdateStream(const std::vector<UpdateBatch>& batches,
+                        const std::string& path);
 
 }  // namespace mlcore
 

@@ -1,12 +1,12 @@
 // Seeded mutation fuzzer for the three input formats a deployment reads
 // from disk: MLG1 containers (LoadMlgGraph, as mutated and with the
 // checksums re-stamped, as a crafted file would carry them), text graphs
-// (LoadMultiLayerGraph) and edge-update streams (LoadUpdateStream). Each case mutates a small valid file by bit flips,
-// truncation or appended bytes under a fixed seed. Every mutant must either
-// come back as an error status, or load into something that keeps the
-// format's invariants and round-trips through its writer. The suite name
-// carries the Format* prefix the ASan/UBSan CI filters select, so hostile
-// bytes that reach undefined behaviour fail there.
+// (LoadMultiLayerGraph) and edge-update streams (LoadUpdateStream). Each
+// case mutates a small valid file by bit flips, truncation or appended
+// bytes under a fixed seed. Every mutant must either come back as an error
+// status, or load into something that keeps the format's invariants and
+// round-trips through its writer. The asan-ubsan CI job runs the whole
+// suite, so hostile bytes that reach undefined behaviour fail there.
 
 #include <gtest/gtest.h>
 
@@ -174,11 +174,11 @@ TEST(FormatFuzzTest, RestampedMlgMutantsAreRejectedOrValid) {
 
 TEST(FormatFuzzTest, TextGraphMutantsAreRejectedOrValid) {
   const std::string base = TestTempPath("base.txt");
-  ASSERT_TRUE(SaveMultiLayerGraph(FuzzGraph(), base).ok);
+  ASSERT_TRUE(SaveMultiLayerGraph(FuzzGraph(), base).ok());
   const std::string path = TestTempPath("mutant.txt");
   FuzzFile(ReadBytes(base), path, [&](const std::string& label) {
     MultiLayerGraph graph;
-    if (!LoadMultiLayerGraph(path, &graph).ok) return;
+    if (!LoadMultiLayerGraph(path, &graph).ok()) return;
     ExpectCsrInvariants(graph, label);
     ExpectMlgRoundTrip(graph, label);
   });
@@ -190,12 +190,12 @@ TEST(FormatFuzzTest, UpdateStreamMutantsAreRejectedOrValid) {
   batches[1].AddVertices(4).RemoveVertex(7).Insert(0, 48, 9);
   batches[2].Remove(0, 1, 2).RemoveVertex(11).Insert(2, 12, 13);
   const std::string base = TestTempPath("base.updates");
-  ASSERT_TRUE(SaveUpdateStream(batches, base).ok);
+  ASSERT_TRUE(SaveUpdateStream(batches, base).ok());
   const std::string path = TestTempPath("mutant.updates");
   const std::string resaved = TestTempPath("resaved.updates");
   FuzzFile(ReadBytes(base), path, [&](const std::string& label) {
     std::vector<UpdateBatch> loaded;
-    if (!LoadUpdateStream(path, &loaded).ok) return;
+    if (!LoadUpdateStream(path, &loaded).ok()) return;
     // The loader's structural promise: non-negative ids and counts, and
     // no empty batch.
     for (const UpdateBatch& batch : loaded) {
@@ -209,8 +209,8 @@ TEST(FormatFuzzTest, UpdateStreamMutantsAreRejectedOrValid) {
       }
     }
     std::vector<UpdateBatch> reloaded;
-    ASSERT_TRUE(SaveUpdateStream(loaded, resaved).ok) << label;
-    ASSERT_TRUE(LoadUpdateStream(resaved, &reloaded).ok) << label;
+    ASSERT_TRUE(SaveUpdateStream(loaded, resaved).ok()) << label;
+    ASSERT_TRUE(LoadUpdateStream(resaved, &reloaded).ok()) << label;
     ASSERT_EQ(reloaded.size(), loaded.size()) << label;
     for (size_t b = 0; b < loaded.size(); ++b) {
       EXPECT_EQ(reloaded[b].add_vertices, loaded[b].add_vertices) << label;

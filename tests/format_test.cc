@@ -3,8 +3,7 @@
 // matrix (structured Status on hostile input, never UB — CI runs this file
 // under ASan), zero-copy mmap'd graphs served through GraphStore/Engine
 // including an update epoch on a mapped base, generator determinism, and
-// the strictened std::from_chars text parser. Suite names carry the
-// Format*/Mmap* prefixes the sanitizer CI filters select.
+// the strictened std::from_chars text parser.
 
 #include <gtest/gtest.h>
 
@@ -124,10 +123,10 @@ TEST(FormatRoundTripTest, TextRoundTripThroughContainerPreservesGraph) {
   const Dataset dataset = MakeDataset("author", 0.2);
   const std::string text = TestTempPath("rt.txt");
   const std::string bin = TestTempPath("rt.mlg");
-  ASSERT_TRUE(SaveMultiLayerGraph(dataset.graph, text).ok);
+  ASSERT_TRUE(SaveMultiLayerGraph(dataset.graph, text).ok());
 
   MultiLayerGraph from_text;
-  ASSERT_TRUE(LoadMultiLayerGraph(text, &from_text).ok);
+  ASSERT_TRUE(LoadMultiLayerGraph(text, &from_text).ok());
   ASSERT_TRUE(format::WriteMlgGraph(from_text, bin).ok());
   MultiLayerGraph mapped;
   ASSERT_TRUE(format::LoadMlgGraph(bin, &mapped).ok());
@@ -514,11 +513,11 @@ TEST(MmapFileTest, EmptyFileMapsAsEmpty) {
 
 class FormatTextParserTest : public testing::Test {
  protected:
-  IoStatus Load(const std::string& text) {
+  Status Load(const std::string& text) {
     path_ = TestTempPath("parse.txt");
     WriteText(path_, text);
     MultiLayerGraph graph;
-    IoStatus status = LoadMultiLayerGraph(path_, &graph);
+    Status status = LoadMultiLayerGraph(path_, &graph);
     std::remove(path_.c_str());
     return status;
   }
@@ -528,56 +527,57 @@ class FormatTextParserTest : public testing::Test {
 TEST_F(FormatTextParserTest, OverflowingVertexIdIsRejectedNotNarrowed) {
   // 2^33 + 1 truncates to 1 in int32 — the pre-from_chars parser would
   // have silently built edge (0, 1).
-  const IoStatus status = Load("n 4 1\n0 0 8589934593\n");
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("id out of range"), std::string::npos)
-      << status.error;
-  EXPECT_NE(status.error.find(":2:"), std::string::npos) << status.error;
+  const Status status = Load("n 4 1\n0 0 8589934593\n");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message.find("id out of range"), std::string::npos)
+      << status.message;
+  EXPECT_NE(status.message.find(":2:"), std::string::npos) << status.message;
 
   // Past even long long: from_chars reports overflow, same rejection.
-  const IoStatus huge = Load("n 4 1\n0 0 99999999999999999999999\n");
-  EXPECT_FALSE(huge.ok);
-  EXPECT_NE(huge.error.find("id out of range"), std::string::npos);
+  const Status huge = Load("n 4 1\n0 0 99999999999999999999999\n");
+  EXPECT_FALSE(huge.ok());
+  EXPECT_NE(huge.message.find("id out of range"), std::string::npos);
 }
 
 TEST_F(FormatTextParserTest, OverflowingHeaderCountsAreRejected) {
-  const IoStatus status = Load("n 99999999999999999999 2\n");
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.error.find("expected header"), std::string::npos);
+  const Status status = Load("n 99999999999999999999 2\n");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message.find("expected header"), std::string::npos);
   // Fits in long long but not int32: also not a valid vertex count.
-  const IoStatus wide = Load("n 4294967296 2\n");
-  EXPECT_FALSE(wide.ok);
-  EXPECT_NE(wide.error.find("expected header"), std::string::npos);
+  const Status wide = Load("n 4294967296 2\n");
+  EXPECT_FALSE(wide.ok());
+  EXPECT_NE(wide.message.find("expected header"), std::string::npos);
 }
 
-TEST_F(FormatTextParserTest, AcceptsCrlfCommentsAndTrailingTokens) {
-  const IoStatus status = Load(
+TEST_F(FormatTextParserTest, AcceptsCrlfAndIndentedComments) {
+  const Status status = Load(
       "# comment\r\n"
+      "  # indented comment\r\n"
       "\r\n"
       "n 3 2\r\n"
-      "0 0 1 trailing-weight-token\r\n"
+      "0 0 1\t\r\n"
       "1 1 2\r\n");
-  EXPECT_TRUE(status.ok) << status.error;
+  EXPECT_TRUE(status.ok()) << status.message;
 }
 
 TEST_F(FormatTextParserTest, KeepsEstablishedErrorMessages) {
-  EXPECT_NE(Load("0 1 2\n").error.find("expected header"), std::string::npos);
-  EXPECT_NE(Load("n 3 1\n0 one 2\n").error.find("expected '<layer> <u> <v>'"),
+  EXPECT_NE(Load("0 1 2\n").message.find("expected header"), std::string::npos);
+  EXPECT_NE(Load("n 3 1\n0 one 2\n").message.find("expected '<layer> <u> <v>'"),
             std::string::npos);
-  EXPECT_NE(Load("n 3 1\n0 1 1\n").error.find("self-loop 1-1"),
+  EXPECT_NE(Load("n 3 1\n0 1 1\n").message.find("self-loop 1-1"),
             std::string::npos);
   EXPECT_NE(Load("n 3 1\n0 0 1\n0 1 0\n")
-                .error.find("duplicate edge 1-0 on layer 0"),
+                .message.find("duplicate edge 1-0 on layer 0"),
             std::string::npos);
-  EXPECT_NE(Load("# only comments\n").error.find("missing header line"),
+  EXPECT_NE(Load("# only comments\n").message.find("missing header line"),
             std::string::npos);
-  EXPECT_NE(Load("n 3 1\n2 0 1\n").error.find("id out of range"),
+  EXPECT_NE(Load("n 3 1\n2 0 1\n").message.find("id out of range"),
             std::string::npos);
 }
 
 TEST_F(FormatTextParserTest, FinalLineWithoutNewlineParses) {
-  const IoStatus status = Load("n 3 1\n0 0 1");
-  EXPECT_TRUE(status.ok) << status.error;
+  const Status status = Load("n 3 1\n0 0 1");
+  EXPECT_TRUE(status.ok()) << status.message;
 }
 
 }  // namespace

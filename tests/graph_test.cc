@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 
 #include "graph/datasets.h"
@@ -10,6 +10,7 @@
 #include "graph/io.h"
 #include "graph/multilayer_graph.h"
 #include "graph/sampling.h"
+#include "test_temp.h"
 #include "util/bitset.h"
 #include "util/rng.h"
 
@@ -128,95 +129,69 @@ TEST(MultiLayerGraphTest, FilterIntoMatchesIntersectSorted) {
 
 TEST(IoTest, SaveLoadRoundTrip) {
   MultiLayerGraph graph = TwoLayerTriangle();
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_test.txt")
-          .string();
-  ASSERT_TRUE(SaveMultiLayerGraph(graph, path).ok);
+  const std::string path = TestTempPath("graph.txt");
+  ASSERT_TRUE(SaveMultiLayerGraph(graph, path).ok());
 
   MultiLayerGraph loaded;
-  IoStatus status = LoadMultiLayerGraph(path, &loaded);
-  ASSERT_TRUE(status.ok) << status.error;
+  Status status = LoadMultiLayerGraph(path, &loaded);
+  ASSERT_TRUE(status.ok()) << status.message;
   EXPECT_EQ(loaded.NumVertices(), graph.NumVertices());
   EXPECT_EQ(loaded.NumLayers(), graph.NumLayers());
   for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
     EXPECT_EQ(loaded.NumEdges(layer), graph.NumEdges(layer));
   }
   EXPECT_TRUE(loaded.HasEdge(0, 2, 3));
-  std::remove(path.c_str());
 }
 
 TEST(IoTest, LoadRejectsMissingHeader) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_bad.txt").string();
+  const std::string path = TestTempPath("bad.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("0 1 2\n", f);
     std::fclose(f);
   }
   MultiLayerGraph graph;
-  EXPECT_FALSE(LoadMultiLayerGraph(path, &graph).ok);
-  std::remove(path.c_str());
+  EXPECT_FALSE(LoadMultiLayerGraph(path, &graph).ok());
 }
 
 TEST(IoTest, LoadRejectsOutOfRangeIds) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_bad2.txt")
-          .string();
+  const std::string path = TestTempPath("bad.txt");
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
     std::fputs("n 3 1\n0 0 7\n", f);
     std::fclose(f);
   }
   MultiLayerGraph graph;
-  EXPECT_FALSE(LoadMultiLayerGraph(path, &graph).ok);
-  std::remove(path.c_str());
+  EXPECT_FALSE(LoadMultiLayerGraph(path, &graph).ok());
 }
 
-TEST(IoTest, BinaryRoundTripPreservesGraph) {
-  MultiLayerGraph graph = GenerateErdosRenyi(120, 4, 0.06, 99);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_bin.graph")
-          .string();
-  ASSERT_TRUE(SaveMultiLayerGraphBinary(graph, path).ok);
-  MultiLayerGraph loaded;
-  IoStatus status = LoadMultiLayerGraphBinary(path, &loaded);
-  ASSERT_TRUE(status.ok) << status.error;
-  ASSERT_EQ(loaded.NumVertices(), graph.NumVertices());
-  ASSERT_EQ(loaded.NumLayers(), graph.NumLayers());
-  for (LayerId layer = 0; layer < graph.NumLayers(); ++layer) {
-    ASSERT_EQ(loaded.NumEdges(layer), graph.NumEdges(layer));
-    for (VertexId v = 0; v < graph.NumVertices(); ++v) {
-      auto a = graph.Neighbors(layer, v);
-      auto b = loaded.Neighbors(layer, v);
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+/// Every neighbour list of `actual` equals the one of `expected`.
+void ExpectSameAdjacency(const MultiLayerGraph& actual,
+                         const MultiLayerGraph& expected) {
+  ASSERT_EQ(actual.NumVertices(), expected.NumVertices());
+  ASSERT_EQ(actual.NumLayers(), expected.NumLayers());
+  for (LayerId layer = 0; layer < expected.NumLayers(); ++layer) {
+    for (VertexId v = 0; v < expected.NumVertices(); ++v) {
+      const auto a = actual.Neighbors(layer, v);
+      const auto b = expected.Neighbors(layer, v);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "layer " << layer << " vertex " << v;
     }
   }
-  std::remove(path.c_str());
-}
-
-TEST(IoTest, BinaryLoadRejectsGarbage) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_io_garbage").string();
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a graph", f);
-    std::fclose(f);
-  }
-  MultiLayerGraph graph;
-  EXPECT_FALSE(LoadMultiLayerGraphBinary(path, &graph).ok);
-  std::remove(path.c_str());
 }
 
 TEST(DatasetsTest, SaveLoadRoundTrip) {
   Dataset dataset = MakeDataset("ppi", 0.5);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_ds_cache").string();
-  ASSERT_TRUE(SaveDataset(dataset, path));
+  const std::string path = TestTempPath("ds_cache");
+  const Status saved = SaveDataset(dataset, path);
+  ASSERT_TRUE(saved.ok()) << saved.message;
   Dataset loaded;
-  ASSERT_TRUE(LoadDataset(path, &loaded));
+  const Status status = LoadDataset(path, &loaded);
+  ASSERT_TRUE(status.ok()) << status.message;
   EXPECT_EQ(loaded.name, dataset.name);
-  EXPECT_EQ(loaded.graph.NumVertices(), dataset.graph.NumVertices());
   EXPECT_EQ(loaded.graph.TotalEdges(), dataset.graph.TotalEdges());
+  EXPECT_GT(loaded.graph.MappedBytes(), 0);  // zero-copy MLG1 mapping
+  ExpectSameAdjacency(loaded.graph, dataset.graph);
   ASSERT_EQ(loaded.communities.size(), dataset.communities.size());
   for (size_t c = 0; c < loaded.communities.size(); ++c) {
     EXPECT_EQ(loaded.communities[c].vertices,
@@ -227,13 +202,34 @@ TEST(DatasetsTest, SaveLoadRoundTrip) {
   for (size_t c = 0; c < loaded.complexes.size(); ++c) {
     EXPECT_EQ(loaded.complexes[c], dataset.complexes[c]);
   }
-  std::remove((path + ".graph").c_str());
-  std::remove((path + ".meta").c_str());
+}
+
+// A figure binary may rewrite the cache while another one has it mapped.
+// SaveDataset renames a fresh file into place, so the earlier mapping keeps
+// its bytes; an in-place rewrite would show the reader the new graph, or
+// SIGBUS it once the file shrinks. The second save writes a smaller graph
+// so that either failure would show.
+TEST(DatasetsTest, ResaveKeepsEarlierMappedLoadIntact) {
+  const std::string path = TestTempPath("ds_cache");
+  ASSERT_TRUE(SaveDataset(MakeDataset("ppi", 0.5), path).ok());
+  Dataset first;
+  ASSERT_TRUE(LoadDataset(path, &first).ok());
+  ASSERT_GT(first.graph.MappedBytes(), 0);
+
+  ASSERT_TRUE(SaveDataset(MakeDataset("ppi", 0.25), path).ok());
+  ExpectSameAdjacency(first.graph, MakeDataset("ppi", 0.5).graph);
+
+  Dataset second;
+  ASSERT_TRUE(LoadDataset(path, &second).ok());
+  ExpectSameAdjacency(second.graph, MakeDataset("ppi", 0.25).graph);
 }
 
 TEST(DatasetsTest, LoadDatasetFailsOnMissingFiles) {
   Dataset dataset;
-  EXPECT_FALSE(LoadDataset("/nonexistent/mlcore_cache", &dataset));
+  const Status status = LoadDataset(TestTempPath("no_such_cache"), &dataset);
+  EXPECT_EQ(status.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message.find("no_such_cache.mlg"), std::string::npos)
+      << status.message;
 }
 
 TEST(SamplingTest, VertexSampleShrinksGraph) {

@@ -6,6 +6,7 @@
 // caches across epochs) lives in store_concurrency_test.cc.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -427,10 +428,10 @@ TEST(UpdateStreamIoTest, RoundTripsBatches) {
   batches.push_back(second);
 
   const std::string path = TestTempPath("update_stream_test.txt");
-  ASSERT_TRUE(SaveUpdateStream(batches, path).ok);
+  ASSERT_TRUE(SaveUpdateStream(batches, path).ok());
   std::vector<UpdateBatch> loaded;
-  IoStatus status = LoadUpdateStream(path, &loaded);
-  ASSERT_TRUE(status.ok) << status.error;
+  Status status = LoadUpdateStream(path, &loaded);
+  ASSERT_TRUE(status.ok()) << status.message;
   ASSERT_EQ(loaded.size(), batches.size());
   for (size_t i = 0; i < batches.size(); ++i) {
     EXPECT_EQ(loaded[i].add_vertices, batches[i].add_vertices);
@@ -450,15 +451,16 @@ TEST(UpdateStreamIoTest, RejectsMalformedRecordsWithLineNumbers) {
     std::fclose(f);
   }
   std::vector<UpdateBatch> batches;
-  IoStatus status = LoadUpdateStream(path, &batches);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.error.find(":3:"), std::string::npos) << status.error;
+  Status status = LoadUpdateStream(path, &batches);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message.find(":3:"), std::string::npos) << status.message;
   std::remove(path.c_str());
 }
 
 // Comments and blank lines interleave freely with records; a trailing
 // batch without `commit` still loads, and record-free batches are
-// dropped.
+// dropped. Comments may be indented, fields tab-separated, and lines may
+// end in CRLF, as in edge lists.
 TEST(UpdateStreamIoTest, ParsesThroughCommentsAndBlankLines) {
   const std::string path = TestTempPath("update_stream_comments.txt");
   {
@@ -468,9 +470,9 @@ TEST(UpdateStreamIoTest, ParsesThroughCommentsAndBlankLines) {
         "# day 1\n"
         "\n"
         "+ 0 1 2\n"
-        "# mid-batch note\n"
-        "- 1 3 4\n"
-        "commit\n"
+        "  # indented mid-batch note\r\n"
+        "\t-\t1 3 4 \r\n"
+        "commit\r\n"
         "\n"
         "commit\n"          // empty batch: dropped
         "# day 2\n"
@@ -481,8 +483,8 @@ TEST(UpdateStreamIoTest, ParsesThroughCommentsAndBlankLines) {
     std::fclose(f);
   }
   std::vector<UpdateBatch> batches;
-  IoStatus status = LoadUpdateStream(path, &batches);
-  ASSERT_TRUE(status.ok) << status.error;
+  Status status = LoadUpdateStream(path, &batches);
+  ASSERT_TRUE(status.ok()) << status.message;
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_EQ(batches[0].insert_edges,
             (std::vector<EdgeUpdate>{{0, 1, 2}}));
@@ -505,7 +507,7 @@ TEST(UpdateStreamIoTest, SaveLoadRoundTripPreservesBatchesThroughComments) {
   batches.push_back(second);
 
   const std::string path = TestTempPath("update_stream_roundtrip.txt");
-  ASSERT_TRUE(SaveUpdateStream(batches, path).ok);
+  ASSERT_TRUE(SaveUpdateStream(batches, path).ok());
   // Splice extra comments/blank lines into the saved file; the reload
   // must be unaffected.
   {
@@ -515,8 +517,8 @@ TEST(UpdateStreamIoTest, SaveLoadRoundTripPreservesBatchesThroughComments) {
     std::fclose(f);
   }
   std::vector<UpdateBatch> loaded;
-  IoStatus status = LoadUpdateStream(path, &loaded);
-  ASSERT_TRUE(status.ok) << status.error;
+  Status status = LoadUpdateStream(path, &loaded);
+  ASSERT_TRUE(status.ok()) << status.message;
   ASSERT_EQ(loaded.size(), batches.size());
   for (size_t i = 0; i < batches.size(); ++i) {
     EXPECT_EQ(loaded[i].add_vertices, batches[i].add_vertices) << i;
@@ -544,6 +546,14 @@ TEST(UpdateStreamIoTest, EveryRecordKindRejectsWithPathLineContext) {
       {"addv -3\n", "expected 'addv <count>'"},
       {"delv\n", "expected 'delv <v>'"},
       {"insert 0 1 2\n", "unknown record 'insert'"},
+      // A record is exactly its fields: no fractional tail, no trailing
+      // field, no suffix glued to a number.
+      {"+ 0 1 2.5\n", "expected '+ <layer> <u> <v>'"},
+      {"+ 0 1 2 junk\n", "expected '+ <layer> <u> <v>'"},
+      {"- 0 1 2 7\n", "expected '- <layer> <u> <v>'"},
+      {"addv 3x\n", "expected 'addv <count>'"},
+      {"delv 4 5\n", "expected 'delv <v>'"},
+      {"commit x\n", "expected 'commit'"},
   };
   for (const Case& c : cases) {
     {
@@ -554,14 +564,63 @@ TEST(UpdateStreamIoTest, EveryRecordKindRejectsWithPathLineContext) {
       std::fclose(f);
     }
     std::vector<UpdateBatch> batches;
-    IoStatus status = LoadUpdateStream(path, &batches);
-    EXPECT_FALSE(status.ok) << c.content;
-    EXPECT_NE(status.error.find(path + ":3:"), std::string::npos)
-        << status.error;
-    EXPECT_NE(status.error.find(c.needle), std::string::npos)
-        << status.error;
+    Status status = LoadUpdateStream(path, &batches);
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument) << c.content;
+    EXPECT_NE(status.message.find(path + ":3:"), std::string::npos)
+        << status.message;
+    EXPECT_NE(status.message.find(c.needle), std::string::npos)
+        << status.message;
   }
   std::remove(path.c_str());
+}
+
+// A path that opens but cannot be read is an error, not an empty stream
+// or graph.
+TEST(UpdateStreamIoTest, UnreadablePathIsAnError) {
+  const std::string dir = TestTempPath("a_directory");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  std::vector<UpdateBatch> batches;
+  const Status stream = LoadUpdateStream(dir, &batches);
+  EXPECT_EQ(stream.code, StatusCode::kInvalidArgument);
+  EXPECT_NE(stream.message.find("read error"), std::string::npos)
+      << stream.message;
+  MultiLayerGraph graph;
+  EXPECT_FALSE(LoadMultiLayerGraph(dir, &graph).ok());
+}
+
+// The edge-list counterpart of EveryRecordKindRejectsWithPathLineContext:
+// the header and edge records are exactly their fields.
+TEST(GraphLoaderTest, EveryRecordKindRejectsWithPathLineContext) {
+  const std::string path = TestTempPath("loader_records.txt");
+  struct Case {
+    const char* content;  // follows a comment and a blank line
+    const char* line;     // expected `:<line>:` fragment
+    const char* needle;   // expected fragment of the message
+  };
+  const std::vector<Case> cases = {
+      {"n 4 1 9\n", ":3:", "expected header 'n <vertices> <layers>'"},
+      {"n 4 1 junk\n", ":3:", "expected header 'n <vertices> <layers>'"},
+      {"n 4 1\n0 1 2 7\n", ":4:", "expected '<layer> <u> <v>'"},
+      {"n 4 1\n0 1 2 junk\n", ":4:", "expected '<layer> <u> <v>'"},
+      {"n 4 1\n0 0 1 trailing-weight-token\r\n", ":4:",
+       "expected '<layer> <u> <v>'"},
+  };
+  for (const Case& c : cases) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fputs("# header\n\n", f);
+      std::fputs(c.content, f);
+      std::fclose(f);
+    }
+    MultiLayerGraph graph;
+    Status status = LoadMultiLayerGraph(path, &graph);
+    EXPECT_EQ(status.code, StatusCode::kInvalidArgument) << c.content;
+    EXPECT_NE(status.message.find(path + c.line), std::string::npos)
+        << status.message;
+    EXPECT_NE(status.message.find(c.needle), std::string::npos)
+        << status.message;
+  }
 }
 
 TEST(GraphLoaderTest, RejectsDuplicateAndSelfLoopEdgesWithLineNumbers) {
@@ -573,11 +632,11 @@ TEST(GraphLoaderTest, RejectsDuplicateAndSelfLoopEdgesWithLineNumbers) {
     std::fclose(f);
   }
   MultiLayerGraph graph;
-  IoStatus status = LoadMultiLayerGraph(path, &graph);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.error.find(":3:"), std::string::npos) << status.error;
-  EXPECT_NE(status.error.find("duplicate"), std::string::npos)
-      << status.error;
+  Status status = LoadMultiLayerGraph(path, &graph);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message.find(":3:"), std::string::npos) << status.message;
+  EXPECT_NE(status.message.find("duplicate"), std::string::npos)
+      << status.message;
 
   {
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -586,10 +645,10 @@ TEST(GraphLoaderTest, RejectsDuplicateAndSelfLoopEdgesWithLineNumbers) {
     std::fclose(f);
   }
   status = LoadMultiLayerGraph(path, &graph);
-  EXPECT_FALSE(status.ok);
-  EXPECT_NE(status.error.find(":2:"), std::string::npos) << status.error;
-  EXPECT_NE(status.error.find("self-loop"), std::string::npos)
-      << status.error;
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message.find(":2:"), std::string::npos) << status.message;
+  EXPECT_NE(status.message.find("self-loop"), std::string::npos)
+      << status.message;
   std::remove(path.c_str());
 }
 

@@ -1,14 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "core/dcc.h"
 #include "dccs/dccs.h"
 #include "graph/generators.h"
-#include "graph/io.h"
 #include "util/rng.h"
 
 namespace mlcore {
@@ -72,90 +68,6 @@ TEST_P(TortureTest, RandomConfigurationsStaySound) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TortureTest,
                          ::testing::Range<uint64_t>(0, 8));
-
-// Robustness of the binary loader against corrupted and truncated input.
-class BinaryIoFuzzTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(BinaryIoFuzzTest, TruncatedFilesRejectedCleanly) {
-  MultiLayerGraph graph = GenerateErdosRenyi(40, 3, 0.1, 77);
-  std::string path = (std::filesystem::temp_directory_path() /
-                      ("mlcore_fuzz_" + std::to_string(GetParam())))
-                         .string();
-  ASSERT_TRUE(SaveMultiLayerGraphBinary(graph, path).ok);
-  auto full_size = std::filesystem::file_size(path);
-
-  // Truncate to GetParam() percent of the original length.
-  auto truncated_size = full_size * static_cast<size_t>(GetParam()) / 100;
-  std::filesystem::resize_file(path, truncated_size);
-
-  MultiLayerGraph loaded;
-  IoStatus status = LoadMultiLayerGraphBinary(path, &loaded);
-  if (status.ok) {
-    // Only acceptable if truncation happened to land on a valid prefix —
-    // which can only be the full file.
-    EXPECT_EQ(truncated_size, full_size);
-  }
-  std::remove(path.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(TruncationPercents, BinaryIoFuzzTest,
-                         ::testing::Values(0, 3, 10, 35, 60, 85, 99));
-
-TEST(BinaryIoFuzzTest, BitFlippedHeaderRejected) {
-  MultiLayerGraph graph = GenerateErdosRenyi(30, 2, 0.1, 78);
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_fuzz_header")
-          .string();
-  ASSERT_TRUE(SaveMultiLayerGraphBinary(graph, path).ok);
-  {
-    std::fstream file(path,
-                      std::ios::in | std::ios::out | std::ios::binary);
-    file.seekp(2);
-    file.put('X');  // corrupt the magic
-  }
-  MultiLayerGraph loaded;
-  EXPECT_FALSE(LoadMultiLayerGraphBinary(path, &loaded).ok);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoFuzzTest, NegativeEdgeCountRejected) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_fuzz_negative")
-          .string();
-  {
-    std::ofstream file(path, std::ios::binary);
-    file.write("MLCB1\n", 6);
-    int32_t n = 4, l = 1;
-    file.write(reinterpret_cast<char*>(&n), sizeof(n));
-    file.write(reinterpret_cast<char*>(&l), sizeof(l));
-    int64_t bad_count = -5;
-    file.write(reinterpret_cast<char*>(&bad_count), sizeof(bad_count));
-  }
-  MultiLayerGraph loaded;
-  EXPECT_FALSE(LoadMultiLayerGraphBinary(path, &loaded).ok);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoFuzzTest, OutOfRangeVertexRejected) {
-  std::string path =
-      (std::filesystem::temp_directory_path() / "mlcore_fuzz_range")
-          .string();
-  {
-    std::ofstream file(path, std::ios::binary);
-    file.write("MLCB1\n", 6);
-    int32_t n = 4, l = 1;
-    file.write(reinterpret_cast<char*>(&n), sizeof(n));
-    file.write(reinterpret_cast<char*>(&l), sizeof(l));
-    int64_t count = 1;
-    file.write(reinterpret_cast<char*>(&count), sizeof(count));
-    VertexId u = 0, v = 99;  // v out of range
-    file.write(reinterpret_cast<char*>(&u), sizeof(u));
-    file.write(reinterpret_cast<char*>(&v), sizeof(v));
-  }
-  MultiLayerGraph loaded;
-  EXPECT_FALSE(LoadMultiLayerGraphBinary(path, &loaded).ok);
-  std::remove(path.c_str());
-}
 
 }  // namespace
 }  // namespace mlcore
